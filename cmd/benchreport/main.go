@@ -62,9 +62,8 @@ type Measurement struct {
 }
 
 // Snapshot is the on-disk BENCH_<date>.json document. GOMAXPROCS and NumCPU
-// record the host parallelism the numbers were taken under: benchmarks with an
-// intra-run parallel arm (BenchmarkParallelScaling) are only comparable
-// between snapshots taken at similar widths.
+// record the host parallelism the numbers were taken under: wall-clock figures
+// are only comparable between snapshots taken at similar widths.
 type Snapshot struct {
 	Date       string                 `json:"date"`
 	GoVersion  string                 `json:"go_version"`

@@ -13,7 +13,7 @@
 //	experiments -exp ablation,extended    # beyond-paper sweeps
 //
 // Experiments: table1, table2, table3, fig2, fig3, fig4, fig5, ablation,
-// extended, noise, energy, skip, telemetry, scaling, fairness-battleground.
+// extended, noise, energy, skip, telemetry, fairness-battleground, slo-pack.
 //
 // The fairness-battleground experiment runs the head-to-head fairness
 // comparison: classic throughput policies (hf-rf, lreq, me-lreq) against
@@ -21,12 +21,6 @@
 // workloads, scored on SMT speedup, maximum slowdown, unfairness and harmonic
 // speedup plus a hardware-complexity proxy (scheduler state bits per core,
 // sched.StateBits). -fbcores picks the core count (default 8).
-//
-// -simparallel controls intra-run parallelism (epoch-sharded execution of
-// simulated cores; results are identical to the serial loop): 0 auto-enables
-// it on multi-core hosts, 1 forces the serial loop, >1 forces a worker count.
-// The scaling experiment times serial vs parallel runs at 2-16 simulated
-// cores and prints the observed speedup and window coverage.
 //
 // The telemetry experiment samples epoch time series (per-core IPC, pending
 // reads, live priorities) from single runs and prints them as sparklines;
@@ -47,10 +41,8 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"syscall"
-	"time"
 
 	"memsched/internal/cliflags"
 	"memsched/internal/config"
@@ -65,7 +57,7 @@ import (
 )
 
 var (
-	expFlag      = flag.String("exp", "all", "experiments to run, comma separated (table1|table2|table3|fig2|fig3|fig4|fig5|ablation|extended|noise|energy|skip|telemetry|scaling|fairness-battleground|all)")
+	expFlag      = flag.String("exp", "all", "experiments to run, comma separated (table1|table2|table3|fig2|fig3|fig4|fig5|ablation|extended|noise|energy|skip|telemetry|fairness-battleground|slo-pack|all)")
 	instrFlag    = flag.Uint64("instr", 200_000, "instructions per core in evaluation runs")
 	profFlag     = flag.Uint64("profinstr", 200_000, "instructions for profiling runs")
 	csvDirFlag   = flag.String("csvdir", "", "directory to also write CSV outputs into")
@@ -73,7 +65,6 @@ var (
 	onlineFlag   = flag.Bool("online", false, "additionally evaluate me-lreq with online ME estimation in fig2")
 	replicasFlag = flag.Int("replicas", 5, "seeds per measurement in the noise experiment")
 	parallelFlag = cliflags.Parallel(flag.CommandLine)
-	simParFlag   = cliflags.SimParallel(flag.CommandLine)
 	resumeFlag   = cliflags.Resume(flag.CommandLine)
 	progressFlag = cliflags.Progress(flag.CommandLine)
 	verboseFlag  = flag.Bool("v", false, "log per-run progress to stderr")
@@ -100,7 +91,7 @@ func main() {
 		}
 	}
 	opts := lab.Options{Instr: *instrFlag, ProfInstr: *profFlag, Seed: *seedFlag,
-		Workers: *parallelFlag, ParallelCores: *simParFlag,
+		Workers:    *parallelFlag,
 		Checkpoint: *resumeFlag, Progress: *progressFlag}
 	if *verboseFlag || *progressFlag > 0 {
 		opts.Logf = func(format string, args ...any) {
@@ -129,12 +120,11 @@ func main() {
 		"energy":    energy,
 		"skip":      skipReport,
 		"telemetry": telemetryReport,
-		"scaling":   scaling,
 
 		"fairness-battleground": fairnessBattleground,
 		"slo-pack":              sloPack,
 	}
-	order := []string{"table1", "table2", "table3", "fig2", "fig3", "fig4", "fig5", "ablation", "extended", "noise", "energy", "skip", "telemetry", "scaling", "fairness-battleground", "slo-pack"}
+	order := []string{"table1", "table2", "table3", "fig2", "fig3", "fig4", "fig5", "ablation", "extended", "noise", "energy", "skip", "telemetry", "fairness-battleground", "slo-pack"}
 	want := strings.Split(*expFlag, ",")
 	if *expFlag == "all" {
 		want = order
@@ -460,72 +450,6 @@ func telemetryReport(ctx context.Context, l *lab.Lab) error {
 			fmt.Printf("telemetry exports written to %s\n\n", opts.Dir)
 		}
 	}
-	return nil
-}
-
-// scaling times the serial run loop against epoch-sharded parallel execution
-// at 2, 4, 8 and 16 simulated cores (the 16-core machine cycles the 8MEM-4
-// applications; Table 3 tops out at eight). Both arms produce identical
-// Results — the table reports wall-clock speedup and the fraction of
-// simulated cycles executed inside parallel windows. On a single-CPU host the
-// parallel arm falls back to the serial loop and the speedup column reads
-// ~1.0.
-func scaling(ctx context.Context, l *lab.Lab) error {
-	mix, err := workload.MixByName("8MEM-4")
-	if err != nil {
-		return err
-	}
-	base, err := mix.Apps()
-	if err != nil {
-		return err
-	}
-	par := *simParFlag
-	if par == 1 {
-		par = 0 // forcing serial would make both arms identical; use auto
-	}
-	t := report.NewTable(
-		fmt.Sprintf("Scaling: intra-run parallel speedup (GOMAXPROCS=%d, NumCPU=%d)",
-			runtime.GOMAXPROCS(0), runtime.NumCPU()),
-		"cores", "serial", "parallel", "speedup", "win-coverage")
-	for _, cores := range []int{2, 4, 8, 16} {
-		apps := make([]workload.App, cores)
-		for i := range apps {
-			apps[i] = base[i%len(base)]
-		}
-		cfg := config.Default(cores)
-		run := func(parallel int) (time.Duration, float64, error) {
-			sys, err := sim.New(sim.Options{Config: &cfg, Policy: "hf-rf",
-				Apps: apps, Seed: *seedFlag, ParallelCores: parallel})
-			if err != nil {
-				return 0, 0, err
-			}
-			start := time.Now()
-			res, err := sys.RunContext(ctx, *instrFlag, 0)
-			if err != nil {
-				return 0, 0, err
-			}
-			elapsed := time.Since(start)
-			coverage := 0.0
-			if _, winCycles := sys.ParallelWindows(); res.TotalCycles > 0 {
-				coverage = float64(winCycles) / float64(res.TotalCycles)
-			}
-			return elapsed, coverage, nil
-		}
-		serial, _, err := run(1)
-		if err != nil {
-			return err
-		}
-		parallel, coverage, err := run(par)
-		if err != nil {
-			return err
-		}
-		t.AddRow(fmt.Sprint(cores),
-			fmt.Sprintf("%.2fs", serial.Seconds()),
-			fmt.Sprintf("%.2fs", parallel.Seconds()),
-			fmt.Sprintf("%.2fx", serial.Seconds()/parallel.Seconds()),
-			fmt.Sprintf("%.1f%%", 100*coverage))
-	}
-	emit(t, "scaling")
 	return nil
 }
 

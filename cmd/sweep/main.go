@@ -21,9 +21,6 @@
 // pool width (output is identical for every width, 1 included), -resume names
 // a JSON checkpoint that persists completed points and lets an interrupted
 // sweep pick up where it stopped, and Ctrl-C cancels mid-simulation.
-// -simparallel additionally shards each run's simulated cores across worker
-// goroutines (0 = auto, 1 = serial, >1 = forced width); output is identical
-// either way.
 //
 // With -remote ADDR the matrix is not simulated locally: it is submitted to a
 // sweepd coordinator (see cmd/sweepd), which shards the points across worker
@@ -68,7 +65,6 @@ var (
 	seedFlag   = flag.Uint64("seed", sim.EvalSeed, "evaluation seed")
 	listFlag   = flag.Bool("knobs", false, "list sweepable knobs and exit")
 	parallel   = cliflags.Parallel(flag.CommandLine)
-	simPar     = cliflags.SimParallel(flag.CommandLine)
 	resumeFlag = cliflags.Resume(flag.CommandLine)
 	progress   = cliflags.Progress(flag.CommandLine)
 	timeoutFlg = cliflags.Timeout(flag.CommandLine)
@@ -306,8 +302,7 @@ func runLocal(ctx context.Context, k knob, values []string, apps []workload.App,
 				return sweepPoint{}, err
 			}
 			spec := sim.RunSpec{Config: &cfg, Apps: apps,
-				Policy: *policyFlag, Instr: *instrFlag, ME: mes, Seed: *seedFlag,
-				ParallelCores: *simPar}
+				Policy: *policyFlag, Instr: *instrFlag, ME: mes, Seed: *seedFlag}
 			if *telemDir != "" {
 				// One export directory per point; points run concurrently, so
 				// the per-point directories keep writers disjoint.
@@ -363,13 +358,12 @@ func runRemote(ctx context.Context, k knob, values []string, cores int,
 		}
 		jobs[i] = sweepd.JobV1{ID: i, Key: fmt.Sprintf("%s=%s", *knobFlag, v),
 			Spec: sweepd.JobSpecV1{
-				Mix:           *mixFlag,
-				Policy:        *policyFlag,
-				Instr:         *instrFlag,
-				ME:            mes,
-				Seed:          *seedFlag,
-				Config:        &cfg,
-				ParallelCores: *simPar,
+				Mix:    *mixFlag,
+				Policy: *policyFlag,
+				Instr:  *instrFlag,
+				ME:     mes,
+				Seed:   *seedFlag,
+				Config: &cfg,
 			}}
 	}
 	client := sweepd.NewClient(*remoteFlag)

@@ -21,9 +21,7 @@
 // worker is stateless: kill it at any time and its in-flight jobs return to
 // the queue after the lease TTL. The executor pool autoscales between
 // -minprocs and -maxprocs from the queue-depth hint on every claim response;
-// -batch bounds how many leases ride one claim round trip. -simparallel sets
-// the intra-run parallelism over simulated cores, exactly as on cmd/sweep
-// and cmd/experiments.
+// -batch bounds how many leases ride one claim round trip.
 //
 // loadtest stands up an in-process coordinator (no listener) and pushes
 // -jobs tiny jobs through the full submit → claim → complete → aggregate
@@ -145,7 +143,6 @@ func worker(args []string) error {
 	maxProcs := fs.Int("maxprocs", 0, "executor pool ceiling (0 = GOMAXPROCS)")
 	batch := fs.Int("batch", 0, "max leases per claim round trip (0 = pool ceiling, 1 = single-job wire forms)")
 	parallel := cliflags.Parallel(fs)
-	simPar := cliflags.SimParallel(fs)
 	timeout := cliflags.Timeout(fs)
 	progress := cliflags.Progress(fs)
 	poll := fs.Duration("poll", 500*time.Millisecond, "idle wait between claim attempts")
@@ -168,15 +165,14 @@ func worker(args []string) error {
 	logf("sweepd: worker %q: %d-%d procs, batch %d, against %s",
 		*name, *minProcs, *maxProcs, *batch, *addr)
 	return sweepd.RunWorker(ctx, sweepd.WorkerOptions{
-		Coordinator:   *addr,
-		Name:          *name,
-		MinProcs:      *minProcs,
-		MaxProcs:      *maxProcs,
-		Batch:         *batch,
-		ParallelCores: *simPar,
-		JobTimeout:    *timeout,
-		Poll:          *poll,
-		Logf:          wlogf,
+		Coordinator: *addr,
+		Name:        *name,
+		MinProcs:    *minProcs,
+		MaxProcs:    *maxProcs,
+		Batch:       *batch,
+		JobTimeout:  *timeout,
+		Poll:        *poll,
+		Logf:        wlogf,
 	})
 }
 

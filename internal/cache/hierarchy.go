@@ -64,24 +64,6 @@ type Hierarchy struct {
 	// event heap and the write-back retry list), so callers can cache the
 	// horizon and revalidate with one integer compare instead of rescanning.
 	version uint64
-
-	// staging redirects core-originated L2 requests into per-core buffers
-	// instead of the shared event heap, so cores can run concurrently over a
-	// window of cycles (see internal/sim parallel windows). MergeStaged folds
-	// the buffers back in core-index order, reproducing the serial heap
-	// sequence numbers exactly.
-	staging   bool
-	staged    [][]stagedReq
-	stagedCur []int
-}
-
-// stagedReq is one core-originated L2 request captured while staging: the
-// cycle the core issued it (gen) and the heap event it stands for.
-type stagedReq struct {
-	gen   int64
-	due   int64
-	line  uint64
-	instr bool
 }
 
 type wbEntry struct {
@@ -204,75 +186,6 @@ func (h *Hierarchy) Tick(now int64) {
 // strictly in their future.
 func (h *Hierarchy) Version() uint64 { return h.version }
 
-// FillHorizon returns the earliest cycle at which a pending internal event
-// could wake a core (an L1/L1I fill firing MSHR waiter callbacks). Pending
-// L2 requests cannot produce a fill before the L2 hit latency elapses, and
-// memory reads return through the controller, whose completion heap bounds
-// them separately (Controller.NextCompletionAt). The parallel window planner
-// uses this to run cores ahead of the hierarchy without missing a wake-up.
-func (h *Hierarchy) FillHorizon() int64 {
-	horizon := farFuture
-	for i := range h.events {
-		e := &h.events[i]
-		var t int64
-		switch e.kind {
-		case hkFill, hkFillL2:
-			t = e.when
-		case hkL2Req:
-			t = e.when + h.l2HitLat
-		default: // hkMemRead: returns via the controller's completion heap
-			continue
-		}
-		if t < horizon {
-			horizon = t
-		}
-	}
-	return horizon
-}
-
-// BeginStaging switches Access/AccessInstr to buffer their L2 requests per
-// core instead of pushing the shared event heap, making core Ticks mutually
-// independent for the duration of a parallel window. The caller must pair it
-// with EndStaging and then MergeStaged every window cycle in order.
-func (h *Hierarchy) BeginStaging() {
-	if h.staged == nil {
-		h.staged = make([][]stagedReq, len(h.l1d))
-		h.stagedCur = make([]int, len(h.l1d))
-	}
-	h.staging = true
-}
-
-// EndStaging returns Access/AccessInstr to direct heap scheduling.
-func (h *Hierarchy) EndStaging() { h.staging = false }
-
-// MergeStaged replays the staged L2 requests issued at cycle now into the
-// event heap, iterating cores in index order. Each core's buffer is in
-// issue-cycle order, so the combined push order — core 0's cycle-now
-// requests, then core 1's, ... — is exactly the order the serial loop's
-// per-cycle core iteration would have produced, and the events receive the
-// same heap sequence numbers. Buffers reset once fully drained.
-func (h *Hierarchy) MergeStaged(now int64) {
-	drained := true
-	for i := range h.staged {
-		buf, cur := h.staged[i], h.stagedCur[i]
-		for cur < len(buf) && buf[cur].gen == now {
-			r := &buf[cur]
-			h.schedule(r.due, hkL2Req, i, r.line, r.instr)
-			cur++
-		}
-		h.stagedCur[i] = cur
-		if cur < len(buf) {
-			drained = false
-		}
-	}
-	if drained {
-		for i := range h.staged {
-			h.staged[i] = h.staged[i][:0]
-			h.stagedCur[i] = 0
-		}
-	}
-}
-
 // NextEventAt implements the simulator's next-event time-advance contract.
 // Called after Tick(now), it returns the cycle of the earliest pending
 // internal event — every due event already fired, so the heap head is strictly
@@ -383,11 +296,7 @@ func (h *Hierarchy) Access(core int, line uint64, write bool, now int64, done fu
 	if !merged {
 		// First miss for this line: start the L2 access after the L1 tag
 		// check latency.
-		if h.staging {
-			h.staged[core] = append(h.staged[core], stagedReq{gen: now, due: now + h.l1HitLat, line: line})
-		} else {
-			h.schedule(now+h.l1HitLat, hkL2Req, core, line, false)
-		}
+		h.schedule(now+h.l1HitLat, hkL2Req, core, line, false)
 	}
 	return 0, true, true
 }
@@ -411,11 +320,7 @@ func (h *Hierarchy) AccessInstr(core int, line uint64, now int64, done func(int6
 	cs.L1IMisses.Inc()
 	merged, _ := mshr.Allocate(line, Waiter{Done: done})
 	if !merged {
-		if h.staging {
-			h.staged[core] = append(h.staged[core], stagedReq{gen: now, due: now + int64(h.cfg.L1I.HitLatency), line: line, instr: true})
-		} else {
-			h.schedule(now+int64(h.cfg.L1I.HitLatency), hkL2Req, core, line, true)
-		}
+		h.schedule(now+int64(h.cfg.L1I.HitLatency), hkL2Req, core, line, true)
 	}
 	return 0, true, true
 }

@@ -20,7 +20,7 @@ type CoreStats struct {
 	// struct), observed once per read completion. Unlike ReadLatencyHist's
 	// power-of-two buckets it reconstructs p50/p95/p99/p99.9 to within one
 	// bucket width (<= 12.5% relative), and being all-integer it is bitwise
-	// identical across naive, cycle-skipping and parallel run modes.
+	// identical across the naive and cycle-skipping run loops.
 	LatHist stats.LatencyHist
 	// QueueDelay is admission -> issue: the component scheduling policies
 	// actually change. ServiceTime is issue -> data returned (DRAM timing
@@ -459,23 +459,6 @@ func (mc *Controller) NextEventAt(now int64) int64 {
 // modulo the now-dependent "may issue next cycle" clause — callers must still
 // discard cached values that are not strictly in their future.
 func (mc *Controller) Version() uint64 { return mc.version }
-
-// NextCompletionAt returns the cycle the earliest in-flight read's data
-// reaches the core side (the completion-heap head), or farFuture when none is
-// in flight. Unlike NextEventAt it ignores issue opportunities: the parallel
-// window planner uses it to bound when the controller can next call back into
-// the cache hierarchy, and issues never call back directly.
-func (mc *Controller) NextCompletionAt() int64 {
-	if len(mc.comp) > 0 {
-		return mc.comp[0].at
-	}
-	return farFuture
-}
-
-// CtrlOverhead returns the controller's fixed cycles between DRAM data-done
-// and core-side delivery; every completion scheduled at cycle t returns no
-// earlier than t + CtrlOverhead, which caps how far cores may run ahead.
-func (mc *Controller) CtrlOverhead() int64 { return mc.ctrlOverhead }
 
 // AbsorbStall accounts k skipped Ticks' per-cycle queue-occupancy samples at
 // the occupancies frozen over the skipped stretch (no admission, issue or

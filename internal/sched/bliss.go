@@ -33,10 +33,9 @@ const (
 
 // bliss implements the bliss policy. All state updates happen inside
 // PickIndexed — the policy has no per-cycle hook — and the clearing schedule
-// is a pure function of ctx.Now, so runs with cycle skipping or epoch-sharded
-// parallel execution reproduce the naive loop's decisions exactly (picks
-// happen at identical cycles with identical candidate sets in all three run
-// modes).
+// is a pure function of ctx.Now, so runs with cycle skipping reproduce the
+// naive loop's decisions exactly (picks happen at identical cycles with
+// identical candidate sets in both run loops).
 //
 // Like the other stateful policies (rr, fq), bliss observes only contested
 // picks: the controller short-circuits single-candidate scheduling rounds, so

@@ -86,7 +86,7 @@ func replaceAll(s, old, new string) string {
 	return out
 }
 
-func runGolden(t *testing.T, c goldenCase, parallel int) sim.Result {
+func runGolden(t *testing.T, c goldenCase) sim.Result {
 	t.Helper()
 	mix, err := workload.MixByName(c.Mix)
 	if err != nil {
@@ -98,7 +98,7 @@ func runGolden(t *testing.T, c goldenCase, parallel int) sim.Result {
 	}
 	res, err := sim.Run(context.Background(), sim.RunSpec{
 		Mix: mix, Policy: c.Policy, Instr: goldenInstr, Seed: sim.EvalSeed,
-		ParallelCores: parallel, Classes: classes,
+		Classes: classes,
 	})
 	if err != nil {
 		t.Fatalf("%s/%s: %v", c.Mix, c.Policy, err)
@@ -109,22 +109,6 @@ func runGolden(t *testing.T, c goldenCase, parallel int) sim.Result {
 // TestGoldenEquivalence pins fixed-seed Results against fixtures generated
 // by the seed (pre-indexing) implementation.
 func TestGoldenEquivalence(t *testing.T) {
-	goldenEquivalence(t, 1)
-}
-
-// TestGoldenEquivalenceParallel re-pins every fixture with the parallel
-// window path forced on (3 workers, so shards are uneven at every fixture
-// core count): epoch-sharded execution must reproduce the seed
-// implementation's Results just like the serial loop does — integers
-// byte-identical, floats within the regrouping tolerance.
-func TestGoldenEquivalenceParallel(t *testing.T) {
-	if *updateGolden {
-		t.Skip("fixtures are regenerated by the serial reference loop")
-	}
-	goldenEquivalence(t, 3)
-}
-
-func goldenEquivalence(t *testing.T, parallel int) {
 	if testing.Short() {
 		t.Skip("golden equivalence runs full simulations")
 	}
@@ -136,7 +120,7 @@ func goldenEquivalence(t *testing.T, parallel int) {
 		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			got := runGolden(t, c, parallel)
+			got := runGolden(t, c)
 			path := goldenPath(c)
 			if *updateGolden {
 				blob, err := json.MarshalIndent(got, "", "  ")

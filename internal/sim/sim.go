@@ -80,19 +80,7 @@ type Options struct {
 	// respect to the simulated machine: enabling it never changes a Result
 	// beyond the exempt SkippedCycles field (epoch boundaries clamp skips).
 	Telemetry *telemetry.Options
-	// ParallelCores controls intra-run parallelism: between provably
-	// interaction-free synchronization points, simulated cores tick
-	// concurrently on a worker pool, and the shared hierarchy/controller
-	// cycles are replayed serially with a deterministic barrier merge (see
-	// parallel.go). Results are policy- and core-count-independent of this
-	// knob: integer statistics are byte-identical to the serial loop, floats
-	// within the same ~1e-9 regrouping bound cycle skipping carries.
-	//   0  auto: parallel when the run simulates >= 3 cores and the host has
-	//      >= 2 schedulable CPUs; serial otherwise.
-	//   1  serial (the reference loop).
-	//   >1 that many workers, capped at the simulated core count; forces the
-	//      parallel path even on a single-CPU host (differential tests rely
-	//      on this).
+	// Deprecated: ignored. Only the perfbench module reads it; its next revision drops it.
 	ParallelCores int
 }
 
@@ -125,8 +113,8 @@ type CoreResult struct {
 	ReadLatencyP95  int64
 	ReadLatencyP99  int64
 	ReadLatencyP999 int64
-	BandwidthGBs   float64 // read+write DRAM traffic over the core's runtime
-	L2MissesPerKI  float64 // L2 misses per thousand retired instructions
+	BandwidthGBs    float64 // read+write DRAM traffic over the core's runtime
+	L2MissesPerKI   float64 // L2 misses per thousand retired instructions
 	// Pipeline-side statistics over the measurement window.
 	RetireStallPct float64 // fraction of cycles with a non-empty ROB retiring nothing
 	IFetchStalls   uint64  // front-end stalls on instruction supply
@@ -169,8 +157,7 @@ type Result struct {
 
 // ClassLatency is one serving class's aggregated read-latency distribution:
 // the merge of the member cores' deterministic histograms, so the integer
-// fields are byte-identical across naive, cycle-skipping and parallel run
-// modes.
+// fields are byte-identical across the naive and cycle-skipping run loops.
 type ClassLatency struct {
 	Class workload.ServiceClass
 	// Cores is the number of cores in the class; Reads the merged sample
@@ -215,15 +202,6 @@ type System struct {
 	// freeze point (cores keep running past their commit target, so the live
 	// controller histogram drifts on). Preallocated at New; reset per run.
 	frozenLat []stats.LatencyHist
-
-	// Parallel-window state (see parallel.go); pool is non-nil only while a
-	// RunContext with an active worker pool is executing.
-	pool        *corePool
-	winCap      int64
-	winTargets  []uint64
-	noWinBefore int64
-	winRuns     int64
-	winCycles   int64
 
 	// Cached non-core horizon for nextEventAt: hier and mc expose change
 	// counters, so stalled stretches where neither moved revalidate the last
@@ -399,22 +377,6 @@ func (s *System) RunContext(ctx context.Context, instrPerCore uint64, maxCycles 
 	for i := range s.frozenLat {
 		s.frozenLat[i].Reset()
 	}
-
-	// Spin up the parallel worker pool when configured and worthwhile; the
-	// deferred close guarantees no goroutine outlives the run, on every exit
-	// path including cancellation and cycle-bound errors.
-	s.winRuns, s.winCycles = 0, 0
-	if w := s.parallelWorkers(); w > 0 {
-		if s.winCap = s.windowCap(); s.winCap >= minParallelWindow {
-			s.pool = newCorePool(s.cores, w)
-			s.winTargets = make([]uint64, n)
-			s.noWinBefore = 0
-			defer func() {
-				s.pool.close()
-				s.pool = nil
-			}()
-		}
-	}
 	s.nonCoreValid = false
 
 	now := int64(0)
@@ -426,11 +388,6 @@ func (s *System) RunContext(ctx context.Context, instrPerCore uint64, maxCycles 
 	if warm > 0 {
 		warmDone := 0
 		warmed := make([]bool, n)
-		if s.pool != nil {
-			for i := range s.winTargets {
-				s.winTargets[i] = warm
-			}
-		}
 		nextCancel := nextCancelCheck(now)
 		for warmDone < n {
 			if now >= maxCycles {
@@ -447,9 +404,6 @@ func (s *System) RunContext(ctx context.Context, instrPerCore uint64, maxCycles 
 				if !warmed[i] && c.Retired() >= warm {
 					warmed[i] = true
 					warmDone++
-					if s.pool != nil {
-						s.winTargets[i] = 0
-					}
 				}
 			}
 		}
@@ -461,9 +415,6 @@ func (s *System) RunContext(ctx context.Context, instrPerCore uint64, maxCycles 
 	// Phase 2: measurement. Each core's target is its own retired count at
 	// the window start plus the slice length; its IPC uses cycles from the
 	// window start (paper: statistics only over the simpoint's instructions).
-	// The window counters restart with the other statistics, so
-	// ParallelWindows describes the measurement window (coverage <= 100%).
-	s.winRuns, s.winCycles = 0, 0
 	t0 := now
 	if s.telem != nil {
 		// Armed only now: warmup resets have run, so the collector's counter
@@ -475,11 +426,6 @@ func (s *System) RunContext(ctx context.Context, instrPerCore uint64, maxCycles 
 	for i, c := range s.cores {
 		base[i] = c.Retired()
 		cpuBase[i] = *c.Stats() // measurement-window baseline
-	}
-	if s.pool != nil {
-		for i := range s.winTargets {
-			s.winTargets[i] = base[i] + instrPerCore
-		}
 	}
 	finished := 0
 	done := make([]bool, n)
@@ -502,9 +448,6 @@ func (s *System) RunContext(ctx context.Context, instrPerCore uint64, maxCycles 
 			if !done[i] && c.Retired() >= base[i]+instrPerCore {
 				done[i] = true
 				finished++
-				if s.pool != nil {
-					s.winTargets[i] = 0
-				}
 				s.freeze(i, now-t0, instrPerCore, &cpuBase[i], &res.Cores[i])
 				if finished == n {
 					res.TotalCycles = now - t0
@@ -579,7 +522,7 @@ func (s *System) serviceClass(i int) workload.ServiceClass {
 // the given serving class, each captured at its own freeze point. Valid after
 // a completed run; the merge of shard histograms is bitwise equal to the
 // histogram of the concatenated stream, so the result is byte-identical
-// across naive, cycle-skipping and parallel run modes.
+// across the naive and cycle-skipping run loops.
 func (s *System) ClassLatencyHist(class workload.ServiceClass) stats.LatencyHist {
 	var h stats.LatencyHist
 	for i := range s.frozenLat {
@@ -606,6 +549,20 @@ func (s *System) tick(now int64) {
 		s.telem.Tick(now)
 	}
 }
+
+// advance executes the cycle at now, then jumps over the stalled stretch that
+// follows it, if any. It returns the next unexecuted cycle and how many of the
+// covered cycles were skipped (bulk-accounted rather than ticked).
+func (s *System) advance(now, maxCycles int64) (int64, int64) {
+	s.tick(now)
+	k := s.skipQuiescent(now, maxCycles)
+	return now + 1 + k, k
+}
+
+// ParallelWindows always returns (0, 0): every run executes serially.
+//
+// Deprecated: only the perfbench module reads it; its next revision drops it.
+func (s *System) ParallelWindows() (windows, cycles int64) { return 0, 0 }
 
 // skipQuiescent implements next-event time advance: called right after the
 // tick at `now`, it asks every component for the earliest cycle at which it
@@ -746,7 +703,7 @@ type Profile struct {
 	BWGBs   float64
 	ME      float64 // IPC / BW
 	MemMPKI float64
-	// PerfectIPC and Gain are filled by Classify: IPC under a perfect
+	// PerfectIPC and Gain are filled by ClassifyContext: IPC under a perfect
 	// memory system and the fractional gain over the real system.
 	PerfectIPC float64
 	Gain       float64
@@ -761,11 +718,10 @@ const ProfileSeed uint64 = 0xA11CE
 const EvalSeed uint64 = 0xBEEF5
 
 // RunSpec is the declarative description of one simulation run — the input
-// of Run, and the unit of work the experiment runner fans out. The zero value
-// of every optional field selects the same behavior the positional RunMix
-// arguments did, so RunMix(mix, pol, n, mes, seed) and
-// Run(ctx, RunSpec{Mix: mix, Policy: pol, Instr: n, ME: mes, Seed: seed})
-// are interchangeable.
+// of Run, and the unit of work the experiment runner fans out. Only Mix (or
+// Apps), Policy and Instr are required; the zero value of every other field
+// selects the default machine, the paper's ME tables, warmup and cycle
+// skipping.
 type RunSpec struct {
 	// Mix is the workload to run, one application per core. Apps, when
 	// non-nil, overrides it (for ad-hoc app lists outside Table 3).
@@ -797,8 +753,7 @@ type RunSpec struct {
 	NoWarmup    bool
 	// NoCycleSkip disables next-event time advance (see Options).
 	NoCycleSkip bool
-	// ParallelCores controls intra-run parallelism over simulated cores
-	// (see Options.ParallelCores): 0 = auto, 1 = serial, >1 = worker count.
+	// Deprecated: ignored. Only the perfbench module reads it; its next revision drops it.
 	ParallelCores int
 	// MaxCycles bounds the run (0 selects a generous default).
 	MaxCycles int64
@@ -810,7 +765,7 @@ type RunSpec struct {
 
 // Run assembles a system from spec and executes it under ctx. Cancellation
 // is observed mid-simulation with CancelCheckCycles granularity, making this
-// the entry point the parallel experiment runner builds on.
+// the entry point the experiment runner builds on.
 func Run(ctx context.Context, spec RunSpec) (Result, error) {
 	apps := spec.Apps
 	if apps == nil {
@@ -821,20 +776,19 @@ func Run(ctx context.Context, spec RunSpec) (Result, error) {
 		}
 	}
 	sys, err := New(Options{
-		Config:        spec.Config,
-		Policy:        spec.Policy,
-		CustomPolicy:  spec.CustomPolicy,
-		Apps:          apps,
-		Classes:       spec.Classes,
-		ME:            spec.ME,
-		Seed:          spec.Seed,
-		WarmupInstr:   spec.WarmupInstr,
-		NoWarmup:      spec.NoWarmup,
-		OnlineME:      spec.OnlineME,
-		OnlineEpoch:   spec.OnlineEpoch,
-		NoCycleSkip:   spec.NoCycleSkip,
-		ParallelCores: spec.ParallelCores,
-		Telemetry:     spec.Telemetry,
+		Config:       spec.Config,
+		Policy:       spec.Policy,
+		CustomPolicy: spec.CustomPolicy,
+		Apps:         apps,
+		Classes:      spec.Classes,
+		ME:           spec.ME,
+		Seed:         spec.Seed,
+		WarmupInstr:  spec.WarmupInstr,
+		NoWarmup:     spec.NoWarmup,
+		OnlineME:     spec.OnlineME,
+		OnlineEpoch:  spec.OnlineEpoch,
+		NoCycleSkip:  spec.NoCycleSkip,
+		Telemetry:    spec.Telemetry,
 	})
 	if err != nil {
 		return Result{}, err
@@ -846,15 +800,8 @@ func Run(ctx context.Context, spec RunSpec) (Result, error) {
 	return res, err
 }
 
-// ProfileApp measures IPC_single and BW_single for one application on a
-// single-core machine with the same per-core configuration (Equation 1).
-//
-// Deprecated: use ProfileAppContext, which supports cancellation.
-func ProfileApp(app workload.App, instr uint64, seed uint64) (Profile, error) {
-	return ProfileAppContext(context.Background(), app, instr, seed)
-}
-
-// ProfileAppContext is ProfileApp under a cancellable context.
+// ProfileAppContext measures IPC_single and BW_single for one application on
+// a single-core machine with the same per-core configuration (Equation 1).
 func ProfileAppContext(ctx context.Context, app workload.App, instr uint64, seed uint64) (Profile, error) {
 	sys, err := New(Options{Policy: "hf-rf", Apps: []workload.App{app}, Seed: seed})
 	if err != nil {
@@ -880,16 +827,9 @@ func ProfileAppContext(ctx context.Context, app workload.App, instr uint64, seed
 	return p, nil
 }
 
-// Classify runs app under a perfect memory system and fills the profile's
-// classification fields (paper Section 4.2: MEM if >15% faster with perfect
-// memory).
-//
-// Deprecated: use ClassifyContext, which supports cancellation.
-func Classify(app workload.App, p *Profile, instr uint64, seed uint64) error {
-	return ClassifyContext(context.Background(), app, p, instr, seed)
-}
-
-// ClassifyContext is Classify under a cancellable context.
+// ClassifyContext runs app under a perfect memory system and fills the
+// profile's classification fields (paper Section 4.2: MEM if >15% faster with
+// perfect memory).
 func ClassifyContext(ctx context.Context, app workload.App, p *Profile, instr uint64, seed uint64) error {
 	cfg := config.Default(1)
 	cfg.PerfectMemory = true
@@ -912,15 +852,8 @@ func ClassifyContext(ctx context.Context, app workload.App, p *Profile, instr ui
 	return nil
 }
 
-// ProfileAll profiles every application in apps and returns the ME vector in
-// the same order, for feeding a subsequent evaluation run.
-//
-// Deprecated: use ProfileAllContext, which supports cancellation.
-func ProfileAll(apps []workload.App, instr uint64, seed uint64) ([]Profile, []float64, error) {
-	return ProfileAllContext(context.Background(), apps, instr, seed)
-}
-
-// ProfileAllContext is ProfileAll under a cancellable context.
+// ProfileAllContext profiles every application in apps and returns the ME
+// vector in the same order, for feeding a subsequent evaluation run.
 func ProfileAllContext(ctx context.Context, apps []workload.App, instr uint64, seed uint64) ([]Profile, []float64, error) {
 	profiles := make([]Profile, len(apps))
 	mes := make([]float64, len(apps))
@@ -933,11 +866,4 @@ func ProfileAllContext(ctx context.Context, apps []workload.App, instr uint64, s
 		mes[i] = p.ME
 	}
 	return profiles, mes, nil
-}
-
-// RunMix runs a Table 3 workload under the named policy.
-//
-// Deprecated: use Run, which takes a context and a RunSpec.
-func RunMix(mix workload.Mix, policy string, instrPerCore uint64, mes []float64, seed uint64) (Result, error) {
-	return Run(context.Background(), RunSpec{Mix: mix, Policy: policy, Instr: instrPerCore, ME: mes, Seed: seed})
 }

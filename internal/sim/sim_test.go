@@ -149,7 +149,7 @@ func TestProfileOrderingMatchesTable2(t *testing.T) {
 	codes := []byte{'e', 'c', 'i', 'n', 'a', 't'}
 	mes := make([]float64, len(codes))
 	for i, code := range codes {
-		p, err := ProfileApp(app(t, code), testSlice, ProfileSeed)
+		p, err := ProfileAppContext(context.Background(), app(t, code), testSlice, ProfileSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,11 +189,11 @@ func TestClassification(t *testing.T) {
 	}
 	for _, c := range cases {
 		a := app(t, c.code)
-		p, err := ProfileApp(a, testSlice, ProfileSeed)
+		p, err := ProfileAppContext(context.Background(), a, testSlice, ProfileSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Classify(a, &p, testSlice, ProfileSeed); err != nil {
+		if err := ClassifyContext(context.Background(), a, &p, testSlice, ProfileSeed); err != nil {
 			t.Fatal(err)
 		}
 		if p.Class != c.want {
@@ -203,7 +203,7 @@ func TestClassification(t *testing.T) {
 	}
 }
 
-func TestRunMixWithProfiledME(t *testing.T) {
+func TestRunWithProfiledME(t *testing.T) {
 	mix, err := workload.MixByName("2MEM-1")
 	if err != nil {
 		t.Fatal(err)
@@ -212,11 +212,11 @@ func TestRunMixWithProfiledME(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, mes, err := ProfileAll(apps, 20_000, ProfileSeed)
+	_, mes, err := ProfileAllContext(context.Background(), apps, 20_000, ProfileSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunMix(mix, "me-lreq", 20_000, mes, EvalSeed)
+	res, err := Run(context.Background(), RunSpec{Mix: mix, Policy: "me-lreq", Instr: 20_000, ME: mes, Seed: EvalSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestPoliciesProduceDifferentSchedules(t *testing.T) {
 	}
 	seen := map[int64]bool{}
 	for _, pol := range []string{"hf-rf", "rr", "lreq", "me-lreq"} {
-		res, err := RunMix(mix, pol, 15_000, nil, EvalSeed)
+		res, err := Run(context.Background(), RunSpec{Mix: mix, Policy: pol, Instr: 15_000, Seed: EvalSeed})
 		if err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}
@@ -259,13 +259,13 @@ func TestSMTSpeedupSane(t *testing.T) {
 	}
 	singles := make([]float64, len(apps))
 	for i, a := range apps {
-		p, err := ProfileApp(a, 20_000, EvalSeed)
+		p, err := ProfileAppContext(context.Background(), a, 20_000, EvalSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		singles[i] = p.IPC
 	}
-	res, err := RunMix(mix, "hf-rf", 20_000, nil, EvalSeed)
+	res, err := Run(context.Background(), RunSpec{Mix: mix, Policy: "hf-rf", Instr: 20_000, Seed: EvalSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +427,7 @@ func TestEveryPolicySmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pol := range []string{"fcfs", "hf-rf", "rr", "lreq", "me", "me-lreq", "fq", "burst", "fix:01", "fix:10"} {
-		res, err := RunMix(mix, pol, 15_000, nil, EvalSeed)
+		res, err := Run(context.Background(), RunSpec{Mix: mix, Policy: pol, Instr: 15_000, Seed: EvalSeed})
 		if err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}
@@ -466,7 +466,7 @@ func TestWarmupChangesOnlyStatistics(t *testing.T) {
 }
 
 func TestLatencyDecompositionConsistent(t *testing.T) {
-	res, err := RunMix(mustMixT(t, "2MEM-2"), "hf-rf", 20_000, nil, EvalSeed)
+	res, err := Run(context.Background(), RunSpec{Mix: mustMixT(t, "2MEM-2"), Policy: "hf-rf", Instr: 20_000, Seed: EvalSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,24 +495,6 @@ func mustMixT(t *testing.T, name string) workload.Mix {
 		t.Fatal(err)
 	}
 	return mix
-}
-
-func TestRunSpecMatchesRunMix(t *testing.T) {
-	mix, err := workload.MixByName("2MEM-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := RunMix(mix, "me-lreq", testSlice, nil, EvalSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := Run(context.Background(), RunSpec{Mix: mix, Policy: "me-lreq", Instr: testSlice, Seed: EvalSeed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(old, spec) {
-		t.Fatal("RunSpec result differs from RunMix")
-	}
 }
 
 func TestRunSpecAppsOverrideMix(t *testing.T) {

@@ -1,8 +1,13 @@
 package sim_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"math/rand"
+	"runtime"
+	"strconv"
 	"sync/atomic"
 	"testing"
 
@@ -98,4 +103,167 @@ func TestSkipDifferential(t *testing.T) {
 			t.Error("no case skipped any cycle; next-event advance never engaged")
 		}
 	})
+}
+
+// TestParallelDifferential runs the full policy matrix once covered by the
+// retired epoch-sharded execution path: every registered policy at 2, 4 and 8
+// cores, plus the online estimator, each on two seeds, the second with
+// alternating LC/BE serving classes. The deprecated ParallelCores hint is set
+// on the skipping arm and must stay inert: that run must produce Result JSON
+// byte-identical to the unhinted skipping run, and match the naive
+// cycle-by-cycle loop with integer statistics byte-identical and float
+// statistics within 1e-9 relative.
+func TestParallelDifferential(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full simulation triples")
+	}
+	mixFor := map[int]string{2: "2MEM-1", 4: "4MEM-1", 8: "8MEM-4"}
+	type diffCase struct {
+		cores  int
+		policy string
+		online bool
+	}
+	var cases []diffCase
+	for _, cores := range []int{2, 4, 8} {
+		for _, pol := range []string{"fcfs", "hf-rf", "rr", "lreq", "me", "me-lreq", "fq", "burst", "bliss", "cads", "dash", fixOrderFor(cores)} {
+			cases = append(cases, diffCase{cores: cores, policy: pol})
+		}
+	}
+	cases = append(cases, diffCase{cores: 4, policy: "me-lreq", online: true})
+
+	// Randomized stimulus: each case gets two seeds from a fixed-source
+	// stream, so the workloads differ run to run of the matrix but the test
+	// stays reproducible. The second seed of every case additionally runs
+	// with mixed serving classes, so the per-class latency histograms
+	// embedded in the Result, and dash's deadline decisions, are pinned for
+	// every policy.
+	rng := rand.New(rand.NewSource(0x5EED))
+	for _, c := range cases {
+		for s := 0; s < 2; s++ {
+			c, seed := c, rng.Uint64()
+			var classes []workload.ServiceClass
+			name := fmt.Sprintf("%dcores/%s/seed%d", c.cores, c.policy, s)
+			if s == 1 {
+				classes = make([]workload.ServiceClass, c.cores)
+				for i := 0; i < c.cores; i += 2 {
+					classes[i] = workload.LC
+				}
+				name += "/classed"
+			}
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				mix, err := workload.MixByName(mixFor[c.cores])
+				if err != nil {
+					t.Fatal(err)
+				}
+				run := func(hint int, noSkip bool) sim.Result {
+					// The generous MaxCycles covers strict fixed priority at 8
+					// memory-bound cores, which starves its lowest core far past
+					// the default bound.
+					res, err := sim.Run(context.Background(), sim.RunSpec{
+						Mix: mix, Policy: c.policy, Instr: 3_000, Seed: seed,
+						OnlineME: c.online, NoCycleSkip: noSkip, ParallelCores: hint,
+						MaxCycles: 20_000_000, Classes: classes,
+					})
+					if err != nil {
+						t.Fatalf("seed %#x ParallelCores=%d noSkip=%v: %v", seed, hint, noSkip, err)
+					}
+					return res
+				}
+				hinted, skip, naive := run(3, false), run(0, false), run(0, true)
+				hintedJSON, err := json.Marshal(hinted)
+				if err != nil {
+					t.Fatal(err)
+				}
+				skipJSON, err := json.Marshal(skip)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(hintedJSON, skipJSON) {
+					t.Errorf("seed %#x: ParallelCores=3 changed the Result JSON", seed)
+				}
+				if naive.SkippedCycles != 0 {
+					t.Errorf("NoCycleSkip run reported %d skipped cycles", naive.SkippedCycles)
+				}
+				for _, d := range sim.DiffResults(skip, naive, 1e-9) {
+					t.Errorf("skip vs naive: %s", d)
+				}
+			})
+		}
+	}
+}
+
+// fixOrderFor returns a fixed-priority policy spec matching the core count
+// (the fix policy encodes exactly one priority digit per core).
+func fixOrderFor(cores int) string {
+	order := ""
+	for i := cores - 1; i >= 0; i-- {
+		order += strconv.Itoa(i)
+	}
+	return "fix:" + order
+}
+
+// TestResultIndependentOfHostWidth pins the contract sweepd's result cache
+// relies on: equal specs produce byte-identical Result JSON, SkippedCycles
+// included, whichever worker runs them. Neither the host's GOMAXPROCS nor the
+// deprecated ParallelCores hint may reach a Result.
+func TestResultIndependentOfHostWidth(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full 8-core simulations")
+	}
+	mix, err := workload.MixByName("8MEM-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	apps, err := mix.Apps()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want []byte
+	for _, tc := range []struct {
+		procs, hint int
+		viaRun      bool // sim.Run with RunSpec.ParallelCores, else sim.New with Options.ParallelCores
+	}{
+		{procs: 1, hint: 0},
+		{procs: 2, hint: 0},
+		{procs: 2, hint: 1},
+		{procs: 1, hint: 4},
+		{procs: 2, hint: 4},
+		{procs: 2, hint: 4, viaRun: true},
+	} {
+		runtime.GOMAXPROCS(tc.procs)
+		var res sim.Result
+		if tc.viaRun {
+			res, err = sim.Run(context.Background(), sim.RunSpec{
+				Mix: mix, Policy: "hf-rf", Instr: 3_000, Seed: 7, ParallelCores: tc.hint,
+			})
+		} else {
+			var sys *sim.System
+			sys, err = sim.New(sim.Options{Policy: "hf-rf", Apps: apps, Seed: 7, ParallelCores: tc.hint})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err = sys.Run(3_000, 0)
+			if w, c := sys.ParallelWindows(); w != 0 || c != 0 {
+				t.Errorf("GOMAXPROCS=%d ParallelCores=%d: ParallelWindows = (%d, %d), want (0, 0)",
+					tc.procs, tc.hint, w, c)
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("GOMAXPROCS=%d ParallelCores=%d viaRun=%v: Result JSON differs from GOMAXPROCS=1 (SkippedCycles %d)",
+				tc.procs, tc.hint, tc.viaRun, res.SkippedCycles)
+		}
+	}
 }

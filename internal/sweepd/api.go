@@ -87,19 +87,13 @@ type JobSpecV1 struct {
 	// per-class latency split in the Result, so it is part of the
 	// fingerprint; omitempty keeps classless specs' fingerprints unchanged.
 	Classes string `json:"classes,omitempty"`
-	// ParallelCores is an execution hint — intra-run parallelism over
-	// simulated cores, resolved on the worker host. It is excluded from the
-	// fingerprint: parallel execution is result-preserving by design
-	// (DESIGN.md §11), so it must not fragment the cache.
-	ParallelCores int `json:"parallel_cores,omitempty"`
 }
 
 // Fingerprint returns the content address of the spec's result: a SHA-256
-// over the canonical JSON encoding with execution-only hints zeroed. Two
-// specs with equal fingerprints produce byte-identical Result JSON, so the
-// coordinator serves one's cached outcome for the other.
+// over the canonical JSON encoding. Two specs with equal fingerprints produce
+// byte-identical Result JSON, so the coordinator serves one's cached outcome
+// for the other.
 func (s JobSpecV1) Fingerprint() string {
-	s.ParallelCores = 0
 	blob, err := json.Marshal(s)
 	if err != nil {
 		// Every field is a plain value; Marshal cannot fail on this type.
@@ -115,18 +109,17 @@ func (s JobSpecV1) Fingerprint() string {
 // of burning a worker slot.
 func (s JobSpecV1) RunSpec() (sim.RunSpec, error) {
 	spec := sim.RunSpec{
-		Policy:        s.Policy,
-		Instr:         s.Instr,
-		ME:            s.ME,
-		Seed:          s.Seed,
-		Config:        s.Config,
-		OnlineME:      s.OnlineME,
-		OnlineEpoch:   s.OnlineEpoch,
-		WarmupInstr:   s.WarmupInstr,
-		NoWarmup:      s.NoWarmup,
-		NoCycleSkip:   s.NoCycleSkip,
-		MaxCycles:     s.MaxCycles,
-		ParallelCores: s.ParallelCores,
+		Policy:      s.Policy,
+		Instr:       s.Instr,
+		ME:          s.ME,
+		Seed:        s.Seed,
+		Config:      s.Config,
+		OnlineME:    s.OnlineME,
+		OnlineEpoch: s.OnlineEpoch,
+		WarmupInstr: s.WarmupInstr,
+		NoWarmup:    s.NoWarmup,
+		NoCycleSkip: s.NoCycleSkip,
+		MaxCycles:   s.MaxCycles,
 	}
 	switch {
 	case s.Mix != "" && s.Apps != "":

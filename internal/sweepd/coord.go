@@ -2,6 +2,7 @@ package sweepd
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -279,10 +280,33 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// maxBodyBytes bounds every POST body the coordinator reads, so a hostile or
+// broken client cannot make it buffer without limit. The largest bodies the
+// repo's own clients send are a whole 5000-job loadtest as one sweep (~470
+// KB) and a 32-lease completion batch of 8-core Results (~165 KB).
+const maxBodyBytes = 16 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes. On
+// failure it answers 413 for an oversized body and 400 for malformed JSON,
+// and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		http.Error(w, fmt.Sprintf("sweepd: request body exceeds %d bytes", tooBig.Limit),
+			http.StatusRequestEntityTooLarge)
+		return false
+	}
+	http.Error(w, "sweepd: decoding request: "+err.Error(), http.StatusBadRequest)
+	return false
+}
+
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequestV1
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "sweepd: decoding request: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Jobs) == 0 {
@@ -422,8 +446,7 @@ func (c *Coordinator) claimLeases(worker string, max int) []LeaseV1 {
 
 func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 	var req ClaimRequestV1
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	leases := c.claimLeases(req.Worker, req.Max)
@@ -463,8 +486,7 @@ func (c *Coordinator) heartbeatOne(id string) bool {
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequestV1
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if !c.heartbeatOne(req.LeaseID) {
@@ -476,8 +498,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleHeartbeatBatch(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatBatchRequestV1
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	var resp HeartbeatBatchResponseV1
@@ -555,8 +576,7 @@ func validateCompletion(req CompleteRequestV1) error {
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequestV1
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if err := validateCompletion(req); err != nil {
@@ -576,8 +596,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleCompleteBatch(w http.ResponseWriter, r *http.Request) {
 	var req CompleteBatchRequestV1
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	for _, comp := range req.Completions {

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -77,12 +79,20 @@ func TestFingerprint(t *testing.T) {
 		t.Fatal("fingerprint not deterministic")
 	}
 
-	// Execution hints must not fragment the cache: parallel execution is
-	// result-preserving (DESIGN.md §11), so width is excluded.
-	par := base
-	par.ParallelCores = 8
-	if par.Fingerprint() != base.Fingerprint() {
-		t.Error("ParallelCores changed the fingerprint")
+	// Cache keys persist across releases: a change to the canonical encoding
+	// orphans every cached Result, so the addresses are pinned literally.
+	for _, pin := range []struct {
+		spec JobSpecV1
+		want string
+	}{
+		{base, "3d79e165da7ea05910b85d9ff21e3d67b145614bed950a56d5abdf2a6645f143"},
+		{JobSpecV1{Mix: "4MEM-1", Policy: "dash", Instr: 3000, Seed: 7, Classes: "LBBB",
+			ME: []float64{0.5, 1, 2, 4}, WarmupInstr: 500},
+			"ead2b82b1fad0a91f697fde370df6b85c62b3a755aa511528877068b21f013b8"},
+	} {
+		if got := pin.spec.Fingerprint(); got != pin.want {
+			t.Errorf("%s/%s fingerprint = %s, want %s", pin.spec.Mix, pin.spec.Policy, got, pin.want)
+		}
 	}
 
 	// Everything that changes the Result must change the address.
@@ -148,6 +158,38 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, err := client.Status(ctx, "s999"); err == nil {
 		t.Error("unknown sweep id served")
+	}
+}
+
+// TestRequestBodyBound pins the POST body limit: a submit over maxBodyBytes
+// is refused with 413, malformed JSON with 400, and the coordinator keeps
+// serving afterwards.
+func TestRequestBodyBound(t *testing.T) {
+	_, client := newTestService(t, CoordinatorConfig{})
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(client.base+"/"+APIVersion+"/sweeps", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode
+	}
+	huge := `{"meta":"` + strings.Repeat("x", maxBodyBytes) + `","jobs":[{"key":"a"}]}`
+	if code := post(huge); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized submit: status %d, want %d", code, http.StatusRequestEntityTooLarge)
+	}
+	if code := post(`{"jobs":[`); code != http.StatusBadRequest {
+		t.Errorf("truncated submit: status %d, want %d", code, http.StatusBadRequest)
+	}
+	resp, err := client.Submit(context.Background(), SweepRequestV1{
+		Jobs: []JobV1{{Key: "a", Spec: testSpec("hf-rf")}}})
+	if err != nil {
+		t.Fatalf("submit after the oversized one: %v", err)
+	}
+	if resp.SweepID == "" {
+		t.Error("submit after the oversized one returned no sweep id")
 	}
 }
 

@@ -116,7 +116,7 @@ type CtrlSample struct {
 // epoch: the delta of the class's cumulative log-spaced histogram between
 // the two boundary cycles, so Reads counts exactly the completions that fell
 // inside the window and the percentiles describe those completions alone.
-// All-integer, hence exact under cycle skipping and parallel execution.
+// All-integer, hence exact under cycle skipping.
 type ClassLatSample struct {
 	Reads uint64
 	P50   int64

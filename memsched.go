@@ -26,11 +26,9 @@
 // CancelCheckCycles simulated cycles), so a Ctrl-C or timeout lands within
 // microseconds of simulated work rather than after the full run.
 //
-// On multi-core hosts a run can additionally shard its simulated cores
-// across goroutines inside conservatively derived windows
-// (RunSpec.ParallelCores / Options.ParallelCores; 0 auto-enables it when
-// both the machine and the host have headroom) — Results are identical to
-// the serial loop, parallelism is purely a wall-clock knob.
+// A run is serial and deterministic: equal specs give byte-identical
+// Results on any host. To use several CPUs, run independent specs
+// concurrently, as cmd/experiments, cmd/sweep and the sweepd workers do.
 //
 // See the examples/ directory for end-to-end programs, including one that
 // implements a custom scheduling policy against this package's Policy
@@ -62,8 +60,7 @@ type (
 	// Result is the outcome of a run.
 	Result = sim.Result
 	// RunSpec is the declarative description of one simulation run — the
-	// input of Run. Zero-valued optional fields reproduce the behavior of
-	// the positional RunMix arguments.
+	// input of Run. Zero-valued optional fields select the defaults.
 	RunSpec = sim.RunSpec
 	// CoreResult is one core's frozen statistics.
 	CoreResult = sim.CoreResult
@@ -148,8 +145,7 @@ func MixesFor(cores int, group string) []Mix { return workload.MixesFor(cores, g
 // Run assembles a machine from spec and executes it under ctx. Cancellation
 // is observed mid-simulation with CancelCheckCycles granularity; a run under
 // context.Background() is byte-identical to one under a cancellable context
-// that never fires. This is the primary entry point — the pre-context
-// wrappers (see deprecated.go) are removal-slated compatibility shims over it.
+// that never fires.
 func Run(ctx context.Context, spec RunSpec) (Result, error) {
 	return sim.Run(ctx, spec)
 }
