@@ -24,6 +24,12 @@ type CoreAccessStats struct {
 // controller. It is single-threaded and driven by Tick from the simulation
 // loop; internal latencies are sequenced on a private event queue.
 //
+// An L2 miss that finds the shared miss file full is parked: it waits in the
+// next-cycle queue, but is not re-run while nothing it reads (the miss file's
+// entries and the L2 tags) has changed, and NextEventAt ignores it, so a run
+// blocked only on DRAM returns can skip ahead. Each skipped or unrun attempt
+// would have failed the same way without changing any state.
+//
 // Modeling notes (documented simplifications):
 //   - Instruction fetch goes through per-core L1I caches (AccessInstr) and
 //     shares the L2; most profiles use hot loops that fit the L1I, matching
@@ -51,6 +57,25 @@ type Hierarchy struct {
 	events   heventHeap
 	eventSeq uint64
 
+	// next holds, in scheduling order, the events due at nextAt that were
+	// scheduled after runEvents(nextAt-1) began; every heap event due at
+	// nextAt was scheduled before, so running the heap's events first and
+	// then next is exactly (when, seq) order. spare is the buffer
+	// runEvents drains the previous next from.
+	next   []hevent
+	spare  []hevent
+	nextAt int64
+	// nextParked reports that every event in next is a parked L2 request,
+	// and nextL2Ver is l2Ver when the first of them was parked. While both
+	// hold, next sleeps (see asleep).
+	nextParked bool
+	nextL2Ver  uint64
+	// l2Ver counts changes to what a parked request reads: new L2 miss-file
+	// entries, freed entries and L2 fills.
+	l2Ver uint64
+	// noPark retries blocked requests every cycle (see SetNoPark).
+	noPark bool
+
 	l2PortCycle int64
 	l2PortUsed  int
 
@@ -61,8 +86,9 @@ type Hierarchy struct {
 	l2HitLat int64
 
 	// version counts mutations of the state NextEventAt derives from (the
-	// event heap and the write-back retry list), so callers can cache the
-	// horizon and revalidate with one integer compare instead of rescanning.
+	// event heap, the next-cycle queue and whether it sleeps, and the
+	// write-back retry list), so callers can cache the horizon and
+	// revalidate with one integer compare instead of rescanning.
 	version uint64
 }
 
@@ -88,8 +114,18 @@ func NewHierarchy(cfg *config.Config, mc *memctrl.Controller) *Hierarchy {
 		h.l1i = append(h.l1i, MustNew(cfg.L1I))
 		h.l1im = append(h.l1im, NewMSHR(cfg.L1I.MSHRs))
 	}
+	// At most one event is in flight per L1 miss-file entry (an L2 request
+	// or fill) and per L2 entry (a memory read or fill), which bounds the
+	// next-cycle queue.
+	n := cfg.Cores*(cfg.L1D.MSHRs+cfg.L1I.MSHRs) + cfg.L2.MSHRs
+	h.next, h.spare = make([]hevent, 0, n), make([]hevent, 0, n)
 	return h
 }
+
+// SetNoPark makes L2 requests blocked on a full miss file retry every cycle
+// instead of parking, so a run with cycle skipping off is a strict
+// cycle-by-cycle reference for differential testing.
+func (h *Hierarchy) SetNoPark(v bool) { h.noPark = v }
 
 // CoreStats returns the per-core access counters for core.
 func (h *Hierarchy) CoreStats(core int) *CoreAccessStats { return &h.core[core] }
@@ -120,34 +156,91 @@ func (h *Hierarchy) ResetStats() {
 
 // schedule enqueues a typed hierarchy event for cycle when.
 func (h *Hierarchy) schedule(when int64, kind uint8, core int, line uint64, instr bool) {
-	h.events.push(hevent{when: when, seq: h.eventSeq, kind: kind, instr: instr, core: int32(core), line: line})
+	e := hevent{when: when, kind: kind, instr: instr, core: int32(core), line: line}
+	if when == h.nextAt {
+		h.enqueueNext(e, false)
+		return
+	}
+	e.seq = h.eventSeq
 	h.eventSeq++
+	h.events.push(e)
 	h.version++
 }
 
-// runEvents fires every event due at or before now, in (time, insertion)
-// order; events pushed by handlers at a time <= now fire in the same call.
+// enqueueNext appends e to the next-cycle queue; parked marks an L2 request
+// blocked on a full miss file.
+func (h *Hierarchy) enqueueNext(e hevent, parked bool) {
+	if len(h.next) == 0 {
+		h.nextParked, h.nextL2Ver = parked, h.l2Ver
+	} else if !parked {
+		h.nextParked = false
+	}
+	h.next = append(h.next, e)
+	h.version++
+}
+
+// l2Changed records a change to the L2 miss file's entries or the L2 tags,
+// which wakes parked requests.
+func (h *Hierarchy) l2Changed() {
+	h.l2Ver++
+	h.version++
+}
+
+// asleep reports whether the next-cycle queue holds only parked requests
+// and nothing they read changed since the first of them was parked, so each
+// would fail again exactly as it did.
+func (h *Hierarchy) asleep() bool { return h.nextParked && h.nextL2Ver == h.l2Ver }
+
+// runEvents fires every event due at or before now: first the heap's, in
+// (time, insertion) order, then the next-cycle queue scheduled during the
+// previous call, unless it sleeps. A sleeping queue is carried over unrun,
+// behind whatever the heap's events scheduled for now+1, which is where its
+// requests would have re-queued themselves. Hit latencies are at least one
+// cycle (config.Validate), so no handler schedules an event for now itself.
 func (h *Hierarchy) runEvents(now int64) {
+	due, dueParked, dueVer := h.next, h.nextParked, h.nextL2Ver
+	h.next, h.nextAt = h.spare[:0], now+1
 	for len(h.events) > 0 && h.events[0].when <= now {
 		e := h.events.pop()
 		h.version++
-		switch e.kind {
-		case hkL2Req:
-			h.l2Request(int(e.core), e.line, e.when, e.instr)
-		case hkFill:
-			if e.instr {
-				h.fillL1I(int(e.core), e.line, e.when)
-			} else {
-				h.fillL1(int(e.core), e.line, e.when)
-			}
-		case hkFillL2:
-			h.fillL2(int(e.core), e.line, e.when)
-		case hkMemRead:
-			if h.mc.EnqueueReadSink(h, int(e.core), e.line, e.when) {
-				h.core[e.core].MemReads.Inc()
-			} else {
-				h.schedule(e.when+1, hkMemRead, int(e.core), e.line, false)
-			}
+		h.fire(e.when, &e)
+	}
+	switch {
+	case len(due) == 0:
+	case dueParked && dueVer == h.l2Ver:
+		if len(h.next) == 0 {
+			h.next, due = due, h.next
+			h.nextParked, h.nextL2Ver = true, dueVer
+		} else {
+			h.next = append(h.next, due...)
+		}
+	default:
+		h.version++
+		for i := range due {
+			h.fire(now, &due[i])
+		}
+	}
+	h.spare = due[:0]
+}
+
+// fire runs one event at cycle now.
+func (h *Hierarchy) fire(now int64, e *hevent) {
+	switch e.kind {
+	case hkL2Req:
+		h.l2Request(int(e.core), e.line, now, e.instr)
+	case hkFill:
+		if e.instr {
+			h.fillL1I(int(e.core), e.line, now)
+		} else {
+			h.fillL1(int(e.core), e.line, now)
+		}
+	case hkFillL2:
+		h.fillL2(int(e.core), e.line, now)
+	case hkMemRead:
+		if h.mc.EnqueueReadSink(h, int(e.core), e.line, now) {
+			h.core[e.core].MemReads.Inc()
+		} else {
+			h.schedule(now+1, hkMemRead, int(e.core), e.line, false)
 		}
 	}
 }
@@ -162,6 +255,11 @@ func (h *Hierarchy) ReadReturned(core int, line uint64, now int64) {
 // write-backs. Served retries are compacted to the front of wbRetry's backing
 // array (not sliced off it) so the array is reused instead of growing a
 // stranded head on every drain.
+//
+// The caller ticks every cycle, apart from stretches NextEventAt proved
+// idle, and makes the cycle's Access and AccessInstr calls before Tick: an
+// event the next-cycle queue runs behind the heap's must not be overtaken
+// by one scheduled later.
 func (h *Hierarchy) Tick(now int64) {
 	h.runEvents(now)
 	served := 0
@@ -180,30 +278,35 @@ func (h *Hierarchy) Tick(now int64) {
 }
 
 // Version is a change counter over the state NextEventAt reads (event heap,
-// write-back retry list). Equal versions across two calls guarantee the
-// hierarchy's horizon did not move in between, modulo the now-dependent
-// write-back clause — callers must still discard cached values that are not
-// strictly in their future.
+// next-cycle queue and whether it sleeps, write-back retry list). Equal
+// versions across two calls guarantee the hierarchy's horizon did not move
+// in between, modulo the now-dependent clauses — callers must still discard
+// cached values that are not strictly in their future.
 func (h *Hierarchy) Version() uint64 { return h.version }
 
 // NextEventAt implements the simulator's next-event time-advance contract.
 // Called after Tick(now), it returns the cycle of the earliest pending
 // internal event — every due event already fired, so the heap head is strictly
-// in the future — or now+1 when a parked write-back would be accepted by the
-// controller on the next Tick. A write-back parked against a full write queue
-// contributes no wake-up time of its own: the queue only drains when the
+// in the future — or now+1 when the next-cycle queue is awake or a parked
+// write-back would be accepted by the controller on the next Tick. A sleeping
+// next-cycle queue contributes no wake-up time: only a fill or a new L2 miss
+// wakes it, and those come from DRAM returns (bounded by the controller's
+// NextEventAt) or from events already counted here. Likewise a write-back
+// parked against a full write queue: the queue only drains when the
 // controller issues a write, and the controller's own NextEventAt bounds the
 // skip until then (AbsorbStall accounts the failed retry each skipped cycle
 // would have recorded). cpu.FarFuture means no internal work is pending.
 func (h *Hierarchy) NextEventAt(now int64) int64 {
-	next := farFuture
-	if len(h.events) > 0 {
-		next = h.events[0].when
+	if len(h.next) > 0 && !h.asleep() {
+		return now + 1
 	}
 	if len(h.wbRetry) > 0 && !h.mc.WriteQueueFull() {
 		return now + 1
 	}
-	return next
+	if len(h.events) > 0 {
+		return h.events[0].when
+	}
+	return farFuture
 }
 
 // AbsorbStall accounts k skipped Ticks: each would have retried the head
@@ -242,7 +345,7 @@ func (h *Hierarchy) L2MSHRLen() int { return h.l2m.Len() }
 
 // Quiescent reports whether no cache-side work is pending.
 func (h *Hierarchy) Quiescent() bool {
-	if len(h.events) > 0 || len(h.wbRetry) > 0 || h.l2m.Len() > 0 {
+	if len(h.events) > 0 || len(h.next) > 0 || len(h.wbRetry) > 0 || h.l2m.Len() > 0 {
 		return false
 	}
 	for _, m := range h.l1m {
@@ -336,12 +439,12 @@ func (h *Hierarchy) l2Request(core int, line uint64, now int64, instr bool) {
 		h.schedule(now+1, hkL2Req, core, line, instr)
 		return
 	}
-	// A miss needing a fresh MSHR entry while the file is full retries next
-	// cycle without touching any state (the port it consumed is released
-	// implicitly by not being counted yet).
+	// A miss needing a fresh MSHR entry while the file is full parks for
+	// the next cycle without touching any state (the port it consumed is
+	// released implicitly by not being counted yet).
 	w := h.l2.probe(line)
 	if w == nil && !h.l2m.Outstanding(line) && h.l2m.Full() {
-		h.schedule(now+1, hkL2Req, core, line, instr)
+		h.enqueueNext(hevent{when: now + 1, kind: hkL2Req, instr: instr, core: int32(core), line: line}, !h.noPark)
 		return
 	}
 	h.l2PortUsed++
@@ -362,6 +465,7 @@ func (h *Hierarchy) l2Request(core int, line uint64, now int64, instr bool) {
 	if merged {
 		return
 	}
+	h.l2Changed()
 	h.issueMemRead(core, line, now+h.l2HitLat) // tag-check latency before the request leaves
 
 	// Optional stream prefetch: pull the next sequential line into L2 too.
@@ -371,6 +475,7 @@ func (h *Hierarchy) l2Request(core int, line uint64, now int64, instr bool) {
 		next := line + 1
 		if !h.l2.Peek(next) && !h.l2m.Outstanding(next) && !h.l2m.Full() {
 			if merged, _ := h.l2m.Allocate(next, Waiter{Core: NoCore}); !merged {
+				h.l2Changed()
 				h.core[core].Prefetches.Inc()
 				h.issueMemRead(core, next, now+h.l2HitLat)
 			}
@@ -420,6 +525,7 @@ func (h *Hierarchy) fillL2(core int, line uint64, now int64) {
 		h.writeToMemory(core, victim.Line, now)
 	}
 	ws := h.l2m.Take(line)
+	h.l2Changed()
 	for i := range ws {
 		w := ws[i]
 		if w.Core == NoCore {

@@ -311,3 +311,82 @@ func TestL2StreamPrefetch(t *testing.T) {
 		t.Fatal("prefetched line did not produce an L2 hit")
 	}
 }
+
+// TestParkedRequestsSleep fills the 64-entry L2 miss file from three cores
+// with 32 distinct-line misses each, so 32 requests wait on the full file.
+// Between the last memory read leaving and the first DRAM return nothing can
+// change for them: the hierarchy's horizon must stay put (Version does not
+// move and NextEventAt lies beyond the next cycle), so the run loop can skip
+// those cycles. Every access must still complete exactly once.
+func TestParkedRequestsSleep(t *testing.T) {
+	const cores, perCore = 3, 32
+	h, mc, cfg := newHierarchy(t, cores, false)
+	if cfg.L1D.MSHRs < perCore || cfg.L2.MSHRs != 64 {
+		t.Fatalf("test assumes >= %d L1D and 64 L2 MSHRs, have %d and %d", perCore, cfg.L1D.MSHRs, cfg.L2.MSHRs)
+	}
+	type key struct {
+		core int
+		line uint64
+	}
+	done := map[key]int{}
+	for c := 0; c < cores; c++ {
+		for i := 0; i < perCore; i++ {
+			k := key{c, uint64(c)<<20 | uint64(i)}
+			if _, async, ok := h.Access(c, k.line, false, 0, func(int64) { done[k]++ }); !ok || !async {
+				t.Fatalf("access %+v: async=%v ok=%v, want an accepted miss", k, async, ok)
+			}
+		}
+	}
+	memReads := func() uint64 {
+		var n uint64
+		for c := 0; c < cores; c++ {
+			n += h.CoreStats(c).MemReads.Value()
+		}
+		return n
+	}
+
+	var ver uint64
+	settled, slept := false, 0
+	now := int64(0)
+	for ; len(done) == 0; now++ {
+		if now > 100_000 {
+			t.Fatal("no access completed")
+		}
+		h.Tick(now)
+		mc.Tick(now)
+		if len(done) > 0 {
+			break // the first DRAM return: parked requests may proceed
+		}
+		if !settled {
+			if h.L2MSHRLen() == cfg.L2.MSHRs && memReads() == uint64(cfg.L2.MSHRs) {
+				settled, ver = true, h.Version()
+			}
+			continue
+		}
+		if v := h.Version(); v != ver {
+			t.Fatalf("cycle %d: Version moved %d -> %d while every waiting request was blocked", now, ver, v)
+		}
+		if next := h.NextEventAt(now); next <= now+1 {
+			t.Fatalf("cycle %d: NextEventAt = %d, want beyond the next cycle", now, next)
+		}
+		slept++
+	}
+	if !settled || slept < 10 {
+		t.Fatalf("settled=%v after %d sleeping cycles; the file never filled ahead of DRAM", settled, slept)
+	}
+
+	end := drive(h, mc, now+1, func() bool {
+		return len(done) == cores*perCore && h.Quiescent() && mc.Quiescent()
+	}, 1_000_000)
+	if end < 0 {
+		t.Fatalf("%d of %d accesses completed", len(done), cores*perCore)
+	}
+	for k, n := range done {
+		if n != 1 {
+			t.Errorf("access %+v completed %d times", k, n)
+		}
+	}
+	if got := memReads(); got != cores*perCore {
+		t.Errorf("memory reads = %d, want %d", got, cores*perCore)
+	}
+}

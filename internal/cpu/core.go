@@ -24,7 +24,6 @@ import (
 
 	"memsched/internal/cache"
 	"memsched/internal/config"
-	"memsched/internal/stats"
 	"memsched/internal/trace"
 	"memsched/internal/xrand"
 )
@@ -51,7 +50,6 @@ type Stats struct {
 	Branches     uint64
 	Mispredicts  uint64
 	RetireStalls uint64 // cycles with zero retirement while the ROB was non-empty
-	ROBOccupancy stats.Running
 	DispatchHaz  uint64 // dispatch attempts blocked by LQ/SQ/MSHR/FU hazards
 	IFetchStalls uint64 // front-end stalls waiting for an instruction line
 }
@@ -279,7 +277,7 @@ func (c *Core) Stats() *Stats { return &c.stats }
 func (c *Core) Retired() uint64 { return c.stats.Retired }
 
 // ROBOccupancy returns the instantaneous number of in-flight instructions in
-// the reorder buffer (telemetry sampling; the run-average lives in Stats).
+// the reorder buffer (telemetry sampling).
 func (c *Core) ROBOccupancy() int { return int(c.tail - c.head) }
 
 func (c *Core) slot(abs int64) *robEntry { return &c.rob[abs%int64(len(c.rob))] }
@@ -290,7 +288,6 @@ func (c *Core) robFull() bool { return c.tail-c.head >= int64(len(c.rob)) }
 // the issue width.
 func (c *Core) Tick(now int64) {
 	c.stats.Cycles++
-	c.stats.ROBOccupancy.Observe(float64(c.tail - c.head))
 	if now < c.quietUntil {
 		// Quiescent fast path: this cycle provably repeats the last stall,
 		// so apply its exact per-cycle accounting without re-scanning.
@@ -570,17 +567,15 @@ func (c *Core) NextEventAt(now int64) int64 {
 
 // AbsorbStall accounts k skipped Ticks (cycles now+1 .. now+k) during which
 // the core provably only stalled: the per-cycle counters advance exactly as k
-// naive Ticks would have advanced them (Cycles, ROBOccupancy at the frozen
-// occupancy, RetireStalls while the ROB is non-empty, and the deterministic
-// per-cycle DispatchHaz increments of retrying a blocked store retirement or
-// a rejected dispatch).
+// naive Ticks would have advanced them (Cycles, RetireStalls while the ROB is
+// non-empty, and the deterministic per-cycle DispatchHaz increments of
+// retrying a blocked store retirement or a rejected dispatch).
 func (c *Core) AbsorbStall(now, k int64) {
 	haz := c.quietHaz
 	if now >= c.quietUntil {
 		_, haz = c.stallInfo(now)
 	}
 	c.stats.Cycles += k
-	c.stats.ROBOccupancy.ObserveN(float64(c.tail-c.head), uint64(k))
 	if c.head < c.tail {
 		c.stats.RetireStalls += uint64(k)
 	}

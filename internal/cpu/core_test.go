@@ -229,13 +229,23 @@ func TestStoresRetireAndDrain(t *testing.T) {
 }
 
 func TestROBOccupancyBounded(t *testing.T) {
-	script := []trace.Instr{{Kind: trace.KindLoad, Line: 1 << 25}}
-	r := newRig(t, &scriptGen{script: computeOnly(1)}, nil)
-	_ = script
-	r.run(500)
-	occ := r.core.Stats().ROBOccupancy
-	if occ.Max() > float64(r.cfg.Core.ROBSize) {
-		t.Fatalf("ROB occupancy %v exceeded capacity %d", occ.Max(), r.cfg.Core.ROBSize)
+	// A load that misses to DRAM, then endless compute: the ROB fills behind
+	// the load and must stay full, never over capacity, until it returns.
+	script := append([]trace.Instr{{Kind: trace.KindLoad, Line: 1 << 25}}, computeOnly(1)...)
+	r := newRig(t, &scriptGen{script: script}, nil)
+	max := 0
+	for i := 0; i < 500; i++ {
+		r.run(1)
+		occ := r.core.ROBOccupancy()
+		if occ < 0 || occ > r.cfg.Core.ROBSize {
+			t.Fatalf("cycle %d: ROB occupancy %d outside [0, %d]", r.now-1, occ, r.cfg.Core.ROBSize)
+		}
+		if occ > max {
+			max = occ
+		}
+	}
+	if max != r.cfg.Core.ROBSize {
+		t.Fatalf("ROB occupancy peaked at %d, want the full %d behind the missing load", max, r.cfg.Core.ROBSize)
 	}
 }
 

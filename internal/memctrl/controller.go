@@ -101,8 +101,11 @@ type Controller struct {
 	enqueueFailWr stats.Counter
 	bytesRead     uint64
 	bytesWritten  uint64
-	readQOcc      stats.Running // read-queue occupancy sampled per Tick
-	writeQOcc     stats.Running
+	// readQSum and writeQSum add up the queue depths of every cycle, ticked
+	// or skipped, and occCycles counts those cycles, so the mean depths are
+	// exact ratios whichever way the run loop advanced time.
+	readQSum, writeQSum uint64
+	occCycles           uint64
 
 	// version counts mutations of the state NextEventAt derives from (the
 	// completion heap, per-channel queue counts and issue-scan wake-ups), so
@@ -229,9 +232,13 @@ func (mc *Controller) RejectedReads() uint64 { return mc.enqueueFailRd.Value() }
 // RejectedWrites returns how many write admissions failed on a full buffer.
 func (mc *Controller) RejectedWrites() uint64 { return mc.enqueueFailWr.Value() }
 
-// QueueOccupancy returns the mean sampled (read, write) queue depths.
+// QueueOccupancy returns the mean per-cycle (read, write) queue depths.
 func (mc *Controller) QueueOccupancy() (read, write float64) {
-	return mc.readQOcc.Mean(), mc.writeQOcc.Mean()
+	if mc.occCycles == 0 {
+		return 0, 0
+	}
+	n := float64(mc.occCycles)
+	return float64(mc.readQSum) / n, float64(mc.writeQSum) / n
 }
 
 // BytesTransferred returns total (read, written) bytes moved on the buses.
@@ -253,8 +260,7 @@ func (mc *Controller) ResetStats() {
 	mc.enqueueFailRd.Reset()
 	mc.enqueueFailWr.Reset()
 	mc.bytesRead, mc.bytesWritten = 0, 0
-	mc.readQOcc.Reset()
-	mc.writeQOcc.Reset()
+	mc.readQSum, mc.writeQSum, mc.occCycles = 0, 0, 0
 }
 
 // alloc takes a Request slot from the free-list, or grows the pool by one.
@@ -363,8 +369,9 @@ func (mc *Controller) wake(now int64) {
 // attempts to issue at most one transaction per channel.
 func (mc *Controller) Tick(now int64) {
 	mc.runCompletions(now)
-	mc.readQOcc.Observe(float64(mc.readLen))
-	mc.writeQOcc.Observe(float64(mc.writeLen))
+	mc.readQSum += uint64(mc.readLen)
+	mc.writeQSum += uint64(mc.writeLen)
+	mc.occCycles++
 	mc.updateDrain(now)
 	for chIdx := range mc.sys.Channels {
 		if mc.nextAttempt[chIdx] > now {
@@ -460,13 +467,13 @@ func (mc *Controller) NextEventAt(now int64) int64 {
 // discard cached values that are not strictly in their future.
 func (mc *Controller) Version() uint64 { return mc.version }
 
-// AbsorbStall accounts k skipped Ticks' per-cycle queue-occupancy samples at
-// the occupancies frozen over the skipped stretch (no admission, issue or
-// completion happens while every component is quiescent, so the sampled
-// depths are constant).
+// AbsorbStall accounts k skipped Ticks' queue depths at the depths frozen
+// over the skipped stretch (no admission, issue or completion happens while
+// every component is quiescent, so the depths are constant).
 func (mc *Controller) AbsorbStall(k int64) {
-	mc.readQOcc.ObserveN(float64(mc.readLen), uint64(k))
-	mc.writeQOcc.ObserveN(float64(mc.writeLen), uint64(k))
+	mc.readQSum += uint64(mc.readLen) * uint64(k)
+	mc.writeQSum += uint64(mc.writeLen) * uint64(k)
+	mc.occCycles += uint64(k)
 }
 
 func (mc *Controller) updateDrain(now int64) {

@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -352,8 +353,9 @@ func (cp *Checkpoint) Len() int {
 	return len(cp.file.Jobs)
 }
 
-// Record persists one completed job and flushes the file atomically
-// (temp file + rename), so a kill mid-write cannot corrupt the checkpoint.
+// Record persists one completed job and flushes the file atomically and
+// durably (see RecordBatch), so neither a kill nor a power loss mid-write can
+// corrupt the checkpoint.
 // json.RawMessage values are stored verbatim, byte-for-byte.
 func (cp *Checkpoint) Record(key string, value any) error {
 	return cp.RecordBatch([]BatchEntry{{Key: key, Value: value}})
@@ -393,12 +395,48 @@ func (cp *Checkpoint) RecordBatch(entries []BatchEntry) error {
 	if err != nil {
 		return err
 	}
+	// The new contents reach the disk before the rename publishes them, and
+	// the rename reaches it before RecordBatch returns: after a crash the
+	// path holds either the previous store or this one, never a torn file.
 	tmp := cp.path + ".tmp"
-	if err := os.WriteFile(tmp, append(blob, '\n'), 0o644); err != nil {
+	if err := writeSynced(tmp, append(blob, '\n')); err != nil {
 		return fmt.Errorf("runner: writing checkpoint: %w", err)
 	}
 	if err := os.Rename(tmp, cp.path); err != nil {
 		return fmt.Errorf("runner: committing checkpoint: %w", err)
 	}
+	if err := syncDir(filepath.Dir(cp.path)); err != nil {
+		return fmt.Errorf("runner: committing checkpoint: %w", err)
+	}
 	return nil
+}
+
+// writeSynced writes data to path, truncating it, and fsyncs it.
+func writeSynced(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }

@@ -1,14 +1,17 @@
 package runner
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -459,5 +462,95 @@ func TestReflectValueRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(direct[i].Value, restored[i].Value) {
 			t.Fatalf("slot %d: %v != %v", i, direct[i].Value, restored[i].Value)
 		}
+	}
+}
+
+// checkpointChildEnv names the checkpoint a re-executed test binary records
+// into (see TestCheckpointSurvivesKill).
+const checkpointChildEnv = "RUNNER_CHECKPOINT_KILL_CHILD"
+
+// TestCheckpointSurvivesKill re-executes the test binary as a child that
+// records batches into one checkpoint in a loop, SIGKILLs it partway
+// through, and requires the file to load cleanly afterwards: no ".bak", no
+// warning, every entry of the batches the child saw committed. Each round
+// kills at a different point of the write cycle.
+func TestCheckpointSurvivesKill(t *testing.T) {
+	if path := os.Getenv(checkpointChildEnv); path != "" {
+		recordUntilKilled(path)
+		return
+	}
+	if testing.Short() {
+		t.Skip("re-executes the test binary")
+	}
+	for round, delay := range []time.Duration{0, 3 * time.Millisecond, 11 * time.Millisecond, 29 * time.Millisecond} {
+		path := filepath.Join(t.TempDir(), "kill.ckpt.json")
+		cmd := exec.Command(os.Args[0], "-test.run=^TestCheckpointSurvivesKill$")
+		cmd.Env = append(os.Environ(), checkpointChildEnv+"="+path)
+		out, err := cmd.StdoutPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		// The child prints a line after each committed batch; wait for the
+		// first, then let it run into the middle of later writes.
+		lines := bufio.NewScanner(out)
+		if !lines.Scan() {
+			cmd.Process.Kill()
+			cmd.Wait()
+			t.Fatalf("round %d: child exited before committing a batch", round)
+		}
+		time.Sleep(delay)
+		if err := cmd.Process.Kill(); err != nil {
+			t.Fatal(err)
+		}
+		committed := 1
+		for lines.Scan() {
+			committed++
+		}
+		cmd.Wait()
+
+		var warned []string
+		cp, err := LoadCheckpoint(path, "kill", func(f string, a ...any) { warned = append(warned, fmt.Sprintf(f, a...)) })
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if len(warned) > 0 {
+			t.Fatalf("round %d: checkpoint discarded after kill: %v", round, warned)
+		}
+		if _, err := os.Stat(path + ".bak"); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("round %d: %s.bak exists after kill", round, path)
+		}
+		if want := min(committed*killBatch, killKeys); cp.Len() < want {
+			t.Fatalf("round %d: %d entries after %d committed batches, want >= %d", round, cp.Len(), committed, want)
+		}
+	}
+}
+
+// killBatch entries per batch cycle through killKeys keys, so the file
+// stays a few hundred KiB however long the child runs.
+const killBatch, killKeys = 16, 512
+
+// recordUntilKilled is the child's loop. It gives up after a minute, so a
+// child whose parent died before killing it does not write forever.
+func recordUntilKilled(path string) {
+	cp, err := LoadCheckpoint(path, "kill", nil)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	pad := json.RawMessage(`"` + strings.Repeat("x", 512) + `"`)
+	deadline := time.Now().Add(time.Minute)
+	for i := 0; time.Now().Before(deadline); i++ {
+		batch := make([]BatchEntry, killBatch)
+		for j := range batch {
+			batch[j] = BatchEntry{Key: fmt.Sprintf("job-%d", (i*killBatch+j)%killKeys), Value: pad}
+		}
+		if err := cp.RecordBatch(batch); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		fmt.Println("committed", i)
 	}
 }

@@ -71,9 +71,9 @@ type Options struct {
 	// OnlineEpoch is the estimator epoch length in cycles (0 = default).
 	OnlineEpoch int64
 	// NoCycleSkip disables next-event time advance and ticks every cycle
-	// one at a time. Cycle skipping never changes integer statistics and
-	// perturbs float statistics by at most ~1e-9 relative (see RunContext),
-	// so this is for differential testing and debugging, not for results.
+	// one at a time. Cycle skipping changes no statistic (only
+	// Result.SkippedCycles, which records it), so this is for differential
+	// testing and debugging, not for results.
 	NoCycleSkip bool
 	// Telemetry, when non-nil, attaches the epoch-sampled observer layer
 	// (package telemetry) over the measurement window. It is read-only with
@@ -265,6 +265,10 @@ func New(opts Options) (*System, error) {
 		return nil, err
 	}
 	hier := cache.NewHierarchy(&cfg, mc)
+	// With skipping off, blocked L2 requests also retry every cycle, so the
+	// NoCycleSkip arm of differential tests is a strict cycle-by-cycle
+	// reference.
+	hier.SetNoPark(opts.NoCycleSkip)
 	if opts.Classes != nil {
 		lc := make([]bool, n)
 		for i, c := range opts.Classes {
@@ -570,8 +574,9 @@ func (s *System) ParallelWindows() (windows, cycles int64) { return 0, 0 }
 // beyond now+1 it bulk-applies the per-cycle statistics of the intervening
 // stalled cycles and returns how many cycles the caller may jump over. The
 // skipped cycles are exactly the ones the naive loop would have ticked
-// without any state change, so results are preserved (integer counters
-// exactly; float Running stats to ~1e-9 relative, via stats.ObserveN).
+// without any state change, so results are preserved exactly: every
+// per-cycle statistic is an integer that AbsorbStall advances by k times its
+// per-cycle increment.
 func (s *System) skipQuiescent(now, maxCycles int64) int64 {
 	if s.opts.NoCycleSkip {
 		return 0

@@ -17,10 +17,8 @@ import (
 
 // TestSkipDifferential is the correctness contract of quiescence-aware cycle
 // skipping: for randomized stimulus across every registered policy and 2, 4
-// and 8 cores, a run with next-event time advance must produce integer
-// statistics byte-identical to the naive cycle-by-cycle loop, and float
-// statistics within 1e-9 relative (the only float drift allowed is the
-// parallel-merge reassociation inside stats.ObserveN).
+// and 8 cores, a run with next-event time advance must produce statistics
+// identical to the naive cycle-by-cycle loop, floats included.
 func TestSkipDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full simulation pairs")
@@ -90,7 +88,7 @@ func TestSkipDifferential(t *testing.T) {
 				if naive.SkippedCycles != 0 {
 					t.Errorf("NoCycleSkip run reported %d skipped cycles", naive.SkippedCycles)
 				}
-				for _, d := range sim.DiffResults(skipped, naive, 1e-9) {
+				for _, d := range sim.DiffResults(skipped, naive, 0) {
 					t.Error(d)
 				}
 				totalSkipped.Add(skipped.SkippedCycles)
@@ -111,8 +109,7 @@ func TestSkipDifferential(t *testing.T) {
 // alternating LC/BE serving classes. The deprecated ParallelCores hint is set
 // on the skipping arm and must stay inert: that run must produce Result JSON
 // byte-identical to the unhinted skipping run, and match the naive
-// cycle-by-cycle loop with integer statistics byte-identical and float
-// statistics within 1e-9 relative.
+// cycle-by-cycle loop in every statistic, floats included.
 func TestParallelDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full simulation triples")
@@ -185,7 +182,7 @@ func TestParallelDifferential(t *testing.T) {
 				if naive.SkippedCycles != 0 {
 					t.Errorf("NoCycleSkip run reported %d skipped cycles", naive.SkippedCycles)
 				}
-				for _, d := range sim.DiffResults(skip, naive, 1e-9) {
+				for _, d := range sim.DiffResults(skip, naive, 0) {
 					t.Errorf("skip vs naive: %s", d)
 				}
 			})

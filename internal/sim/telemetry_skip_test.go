@@ -13,7 +13,7 @@ import (
 // TestTelemetrySkipAlignment extends the skip differential property to the
 // telemetry layer: for every registered policy at 2, 4 and 8 cores, the epoch
 // series sampled under next-event time advance must agree with the naive
-// cycle-by-cycle loop — integer fields exactly, floats within 1e-9 relative.
+// cycle-by-cycle loop exactly, floats included.
 // This is the acceptance contract of the epoch-boundary skip clamp: if a skip
 // ever jumped past a boundary, the late sample would bin deltas into the
 // wrong epoch and the integer series would diverge.
@@ -54,10 +54,10 @@ func TestTelemetrySkipAlignment(t *testing.T) {
 				}
 				skipSnap, skipRes := run(false)
 				naiveSnap, naiveRes := run(true)
-				for _, d := range telemetry.DiffSnapshots(skipSnap, naiveSnap, 1e-9) {
+				for _, d := range telemetry.DiffSnapshots(skipSnap, naiveSnap, 0) {
 					t.Error(d)
 				}
-				for _, d := range sim.DiffResults(skipRes, naiveRes, 1e-9) {
+				for _, d := range sim.DiffResults(skipRes, naiveRes, 0) {
 					t.Error(d)
 				}
 				totalSkipped.Add(skipRes.SkippedCycles)

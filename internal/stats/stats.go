@@ -56,36 +56,6 @@ func (r *Running) Observe(x float64) {
 	r.m2 += d * (x - r.mean)
 }
 
-// ObserveN adds k identical samples of value x in one update, using the
-// parallel-merge form of Welford's algorithm (a batch of k copies of x has
-// mean x and zero within-batch variance). The count n is updated exactly; the
-// floating-point mean and m2 agree with k sequential Observe(x) calls to
-// within a few ulps — callers that batch per-cycle samples over a skipped
-// quiescent stretch (see internal/sim) rely on this staying well inside 1e-9
-// relative error.
-func (r *Running) ObserveN(x float64, k uint64) {
-	if k == 0 {
-		return
-	}
-	if r.n == 0 {
-		r.n = k
-		r.mean = x
-		r.min, r.max = x, x
-		return
-	}
-	if x < r.min {
-		r.min = x
-	}
-	if x > r.max {
-		r.max = x
-	}
-	n := r.n + k
-	d := x - r.mean
-	r.m2 += d * d * float64(r.n) * float64(k) / float64(n)
-	r.mean += d * float64(k) / float64(n)
-	r.n = n
-}
-
 // N returns the number of samples observed.
 func (r *Running) N() uint64 { return r.n }
 

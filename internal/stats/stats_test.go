@@ -50,54 +50,6 @@ func TestRunningEmpty(t *testing.T) {
 	}
 }
 
-func TestObserveNEquivalent(t *testing.T) {
-	// ObserveN(x, k) must behave as k repeated Observe(x) calls: the count,
-	// min and max exactly, the mean and variance to within float
-	// reassociation error (the run loop relies on this when absorbing
-	// skipped stall cycles into per-cycle statistics).
-	check := func(x float64, k uint8, prefix []float64) bool {
-		if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e9 {
-			x = 42.5
-		}
-		var bulk, loop Running
-		for _, p := range prefix {
-			if math.IsNaN(p) || math.IsInf(p, 0) || math.Abs(p) > 1e9 {
-				p = -3.25
-			}
-			bulk.Observe(p)
-			loop.Observe(p)
-		}
-		bulk.ObserveN(x, uint64(k))
-		for i := uint8(0); i < k; i++ {
-			loop.Observe(x)
-		}
-		if bulk.N() != loop.N() {
-			return false
-		}
-		if bulk.N() == 0 {
-			return true
-		}
-		if bulk.Min() != loop.Min() || bulk.Max() != loop.Max() {
-			return false
-		}
-		close := func(a, b float64) bool {
-			scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-			return math.Abs(a-b) <= 1e-9*scale
-		}
-		return close(bulk.Mean(), loop.Mean()) && close(bulk.Variance(), loop.Variance())
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Error(err)
-	}
-	// k = 0 must be a no-op.
-	var r Running
-	r.Observe(3)
-	r.ObserveN(9, 0)
-	if r.N() != 1 || r.Mean() != 3 || r.Max() != 3 {
-		t.Errorf("ObserveN(x, 0) mutated the accumulator: %+v", r)
-	}
-}
-
 func TestRunningMergeEquivalent(t *testing.T) {
 	// Clamp inputs to a realistic magnitude: simulator samples are cycle
 	// counts and rates, and extreme doubles (~1e308) overflow any

@@ -19,7 +19,10 @@ import (
 // encoding changes so a stale cache file is discarded, not misread.
 // v2: sim.Result gained the per-class latency split (ClassLat) and the
 // per-core serving class and tail percentiles.
-const cacheMeta = "sweepd result cache v2"
+// v3: for an unchanged spec, SkippedCycles grew (parked L2 requests no
+// longer block skips) and the mean queue depths changed in their last bits
+// (exact integer ratios instead of running means).
+const cacheMeta = "sweepd result cache v3"
 
 // DefaultShards is the coordinator state shard count selected by
 // CoordinatorConfig.Shards == 0. Sharding is cheap (a mutex, three maps and a
