@@ -352,14 +352,16 @@ func BenchmarkFig3MemoryBound(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepdThroughput measures the distributed sweep service's job
-// pipeline — submit, claim, complete, aggregate over loopback HTTP with stub
-// executors — in jobs per second. The single arm is the pre-batching wire
-// protocol on a single-mutex coordinator (one job per claim/complete round
-// trip); the batched arm claims and completes 32 jobs per round trip against
-// a sharded coordinator. The jobs/sec ratio between the arms is the batching
-// payoff, which must hold on a single-CPU host: it comes from removing round
-// trips, not from parallelism.
+// BenchmarkSweepdThroughput measures the sweep service's coordination cost
+// — submit, claim, complete, aggregate with stub executors — through the
+// coordinator's handler in-process, with one worker. LoadTest submits every
+// sweep before the worker starts, so the worker never finds the queue empty
+// and never sleeps, and allocs/op depends on the code alone. The single arm
+// claims and completes one lease per round trip on a one-shard coordinator;
+// the batched arm moves 32 per round trip across the default shards.
+// In-process, what batching pays back is handler calls and JSON encodes;
+// the loopback jobs/sec, where round trips also cost syscalls, is measured
+// by `sweepd loadtest`.
 func BenchmarkSweepdThroughput(b *testing.B) {
 	const jobs = 1000
 	for _, arm := range []struct {
@@ -371,7 +373,7 @@ func BenchmarkSweepdThroughput(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rep, err := sweepd.LoadTest(context.Background(), sweepd.LoadOptions{
-					Jobs: jobs, Workers: 2, Batch: arm.batch, Shards: arm.shards,
+					Jobs: jobs, Workers: 1, Batch: arm.batch, Shards: arm.shards, InProcess: true,
 				})
 				if err != nil {
 					b.Fatal(err)

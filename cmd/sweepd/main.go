@@ -6,7 +6,7 @@
 // Usage:
 //
 //	sweepd serve    -addr :7023 -cache sweepd.cache.json -shards 8
-//	sweepd worker   -addr localhost:7023 -minprocs 1 -maxprocs 4 -batch 16
+//	sweepd worker   -addr localhost:7023 -parallel 4 -batch 16
 //	sweepd loadtest -jobs 5000 -batch 32
 //	sweep -remote localhost:7023 -knob buffer -values 32,64,128
 //
@@ -19,13 +19,12 @@
 //
 // worker starts a claim/execute/complete loop against a coordinator. A
 // worker is stateless: kill it at any time and its in-flight jobs return to
-// the queue after the lease TTL. The executor pool autoscales between
-// -minprocs and -maxprocs from the queue-depth hint on every claim response;
+// the queue after the lease TTL. It runs a fixed pool of -parallel executors;
 // -batch bounds how many leases ride one claim round trip.
 //
-// loadtest stands up an in-process coordinator (no listener) and pushes
-// -jobs tiny jobs through the full submit → claim → complete → aggregate
-// pipeline with stub executors, printing jobs/sec and claim latency
+// loadtest stands up an in-process coordinator on a loopback listener and
+// pushes -jobs tiny jobs through the full submit → claim → complete →
+// aggregate pipeline with stub executors, printing jobs/sec and claim latency
 // percentiles — the quick way to size -batch and -shards for a deployment.
 package main
 
@@ -139,22 +138,15 @@ func worker(args []string) error {
 	fs := flag.NewFlagSet("sweepd worker", flag.ExitOnError)
 	addr := fs.String("addr", "localhost:7023", "coordinator address")
 	name := fs.String("name", "", "worker name in outcomes and logs (\"\" = hostname-pid)")
-	minProcs := fs.Int("minprocs", 1, "executor pool floor")
-	maxProcs := fs.Int("maxprocs", 0, "executor pool ceiling (0 = GOMAXPROCS)")
-	batch := fs.Int("batch", 0, "max leases per claim round trip (0 = pool ceiling, 1 = single-job wire forms)")
+	batch := fs.Int("batch", 0, "max leases per claim round trip (0 = -parallel)")
 	parallel := cliflags.Parallel(fs)
 	timeout := cliflags.Timeout(fs)
 	progress := cliflags.Progress(fs)
 	poll := fs.Duration("poll", 500*time.Millisecond, "idle wait between claim attempts")
 	fs.Parse(args)
 
-	if *maxProcs <= 0 {
-		// Legacy -parallel pins a fixed pool; otherwise scale up to the host.
-		if *parallel > 0 {
-			*maxProcs = *parallel
-		} else {
-			*maxProcs = runtime.GOMAXPROCS(0)
-		}
+	if *parallel <= 0 {
+		*parallel = runtime.GOMAXPROCS(0)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -162,13 +154,12 @@ func worker(args []string) error {
 	if *progress > 0 {
 		wlogf = logf
 	}
-	logf("sweepd: worker %q: %d-%d procs, batch %d, against %s",
-		*name, *minProcs, *maxProcs, *batch, *addr)
+	logf("sweepd: worker %q: %d slots, batch %d, against %s",
+		*name, *parallel, *batch, *addr)
 	return sweepd.RunWorker(ctx, sweepd.WorkerOptions{
 		Coordinator: *addr,
 		Name:        *name,
-		MinProcs:    *minProcs,
-		MaxProcs:    *maxProcs,
+		Slots:       *parallel,
 		Batch:       *batch,
 		JobTimeout:  *timeout,
 		Poll:        *poll,
@@ -181,7 +172,7 @@ func loadtest(args []string) error {
 	jobs := fs.Int("jobs", 5000, "total tiny jobs to push through the service")
 	sweepSize := fs.Int("sweepsize", 250, "jobs per submitted sweep")
 	workers := fs.Int("workers", 2, "concurrent claiming worker loops")
-	batch := fs.Int("batch", 32, "claim/complete batch width (1 = single-job wire forms)")
+	batch := fs.Int("batch", 32, "claim/complete batch width")
 	shards := fs.Int("shards", sweepd.DefaultShards, "coordinator state shards")
 	fs.Parse(args)
 

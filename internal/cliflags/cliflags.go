@@ -15,12 +15,12 @@ const (
 	DefaultProgress = 10 * time.Second
 )
 
-// Parallel registers -parallel: the worker-pool width fanning independent
-// jobs across goroutines (or, on a sweepd worker, concurrent job slots).
-// Output is identical for every width.
+// Parallel registers -parallel: the worker-pool width, that is how many
+// independent jobs run at once (a sweep's runner pool, or a sweepd worker's
+// executor slots). Output is identical for every width.
 func Parallel(fs *flag.FlagSet) *int {
 	return fs.Int("parallel", 1,
-		"worker pool width for independent jobs (0 = GOMAXPROCS); results are identical for every width")
+		"jobs run at once (0 = GOMAXPROCS); results are identical for every width")
 }
 
 // Progress registers -progress: the interval between progress lines on

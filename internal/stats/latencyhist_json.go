@@ -37,7 +37,8 @@ func (h LatencyHist) MarshalJSON() ([]byte, error) {
 // UnmarshalJSON decodes the sparse form, validating bucket indices and that
 // the scalar count matches the bucket population, so a corrupted or
 // schema-drifted payload fails loudly instead of yielding a silently
-// inconsistent histogram.
+// inconsistent histogram. Keys must be canonical ("1", not "01" or "+1"), so
+// no two keys name the same bucket.
 func (h *LatencyHist) UnmarshalJSON(data []byte) error {
 	var in latencyHistJSON
 	if err := json.Unmarshal(data, &in); err != nil {
@@ -48,10 +49,13 @@ func (h *LatencyHist) UnmarshalJSON(data []byte) error {
 	var total uint64
 	for key, c := range in.Counts {
 		i, err := strconv.Atoi(key)
-		if err != nil || i < 0 || i >= LatencyBuckets {
-			return fmt.Errorf("stats: latency histogram bucket key %q out of range", key)
+		if err != nil || i < 0 || i >= LatencyBuckets || strconv.Itoa(i) != key {
+			return fmt.Errorf("stats: latency histogram bucket key %q is not a bucket index", key)
 		}
 		out.counts[i] = c
+		if total+c < total {
+			return fmt.Errorf("stats: latency histogram bucket counts overflow")
+		}
 		total += c
 	}
 	if total != in.N {

@@ -259,6 +259,11 @@ func TestLatencyHistJSONRejectsCorruption(t *testing.T) {
 		"bad key":        `{"n":1,"sum":5,"max":5,"counts":{"x":1}}`,
 		"key range":      `{"n":1,"sum":5,"max":5,"counts":{"9999":1}}`,
 		"count mismatch": `{"n":2,"sum":5,"max":5,"counts":{"5":1}}`,
+		// Two spellings of bucket 1 would overwrite each other.
+		"leading zero": `{"n":2,"sum":2,"max":1,"counts":{"1":1,"01":1}}`,
+		"plus sign":    `{"n":2,"sum":2,"max":1,"counts":{"1":1,"+1":1}}`,
+		// Bucket counts whose total wraps around to n.
+		"overflow": `{"n":0,"sum":0,"max":2,"counts":{"1":18446744073709551615,"2":1}}`,
 	} {
 		var h LatencyHist
 		if err := json.Unmarshal([]byte(blob), &h); err == nil {

@@ -20,18 +20,15 @@
 //	GET  /v1/sweeps/{id}/outcomes[?wait=1]        -> OutcomesResponseV1
 //	GET  /v1/sweeps/{id}/events                   -> NDJSON stream of EventV1
 //	POST /v1/claim                ClaimRequestV1  -> ClaimResponseV1
-//	POST /v1/heartbeat            HeartbeatRequestV1 (204, or 410 Gone)
-//	POST /v1/complete             CompleteRequestV1  (204, or 410 Gone)
 //	POST /v1/heartbeats           HeartbeatBatchRequestV1 -> HeartbeatBatchResponseV1
 //	POST /v1/completes            CompleteBatchRequestV1  -> CompleteBatchResponseV1
 //	GET  /v1/stats                                -> StatsV1
 //	GET  /v1/healthz                              -> 200 "ok"
 //
-// Claim is batched: ClaimRequestV1.Max asks for up to N leases in one round
-// trip (0 keeps the single-job form), and every claim response carries the
-// coordinator's queue depth so workers can size their executor pools against
-// the backlog. The plural endpoints amortize heartbeat and completion traffic
-// the same way; the singular forms stay for compatibility.
+// The lease endpoints are batched: ClaimRequestV1.Max asks for up to N leases
+// in one round trip, and one heartbeat or completion request covers any
+// number of leases. A lease the coordinator has revoked comes back in the
+// response's Lost list. A batch of one is just a batch.
 package sweepd
 
 import (
@@ -39,6 +36,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"memsched/internal/config"
 	"memsched/internal/sched"
@@ -104,14 +102,14 @@ func (s JobSpecV1) Fingerprint() string {
 }
 
 // RunSpec resolves the wire spec into an executable sim.RunSpec, validating
-// the workload reference. It is called by workers before running and by the
+// the workload reference, the policy, the ME vector and the machine the way
+// the simulator will. It is called by workers before running and by the
 // coordinator at submit time so malformed specs fail fast with a 400 instead
 // of burning a worker slot.
 func (s JobSpecV1) RunSpec() (sim.RunSpec, error) {
 	spec := sim.RunSpec{
 		Policy:      s.Policy,
 		Instr:       s.Instr,
-		ME:          s.ME,
 		Seed:        s.Seed,
 		Config:      s.Config,
 		OnlineME:    s.OnlineME,
@@ -161,6 +159,29 @@ func (s JobSpecV1) RunSpec() (sim.RunSpec, error) {
 		return sim.RunSpec{}, fmt.Errorf("sweepd: %w", err)
 	}
 	spec.Classes = classes
+	// An empty ME list encodes like a nil one (omitempty), so it means the
+	// same thing: the Table 2 fallback.
+	if len(s.ME) > 0 {
+		if len(s.ME) != cores {
+			return sim.RunSpec{}, fmt.Errorf("sweepd: %d ME values for %d cores", len(s.ME), cores)
+		}
+		for i, v := range s.ME {
+			if !(v > 0 && v <= math.MaxFloat64) {
+				return sim.RunSpec{}, fmt.Errorf("sweepd: core %d has invalid memory efficiency %v", i, v)
+			}
+		}
+		spec.ME = s.ME
+	}
+	// Check the machine exactly as sim.New will: the override (or the
+	// default) with its core count forced to the workload's.
+	cfg := config.Default(cores)
+	if s.Config != nil {
+		cfg = *s.Config
+	}
+	cfg.Cores = cores
+	if err := cfg.Validate(); err != nil {
+		return sim.RunSpec{}, fmt.Errorf("sweepd: %w", err)
+	}
 	return spec, nil
 }
 
@@ -258,8 +279,8 @@ type EventV1 struct {
 }
 
 // ClaimRequestV1 asks for job leases. Worker is a display name used in
-// outcomes and logs; Max is the number of leases wanted in this round trip
-// (0 or 1 selects the single-job form).
+// outcomes and logs; Max is the most leases wanted in this round trip (values
+// below 1 ask for one).
 type ClaimRequestV1 struct {
 	Worker string `json:"worker"`
 	Max    int    `json:"max,omitempty"`
@@ -272,30 +293,16 @@ type LeaseV1 struct {
 	Job     JobV1  `json:"job"`
 }
 
-// ClaimResponseV1 grants up to Max leases, or reports an empty queue
-// (Found=false, no Leases). The worker must heartbeat each lease every
-// HeartbeatMillis; a lease not heartbeated within LeaseTTLMillis is revoked
-// and its job re-queued. Found/LeaseID/Job mirror the first lease for
-// single-job clients. QueueDepth is the number of jobs still queued after
-// this claim — the autoscaling hint workers size their pools against.
+// ClaimResponseV1 grants up to Max leases; an empty Leases list means the
+// queue was empty. The worker must heartbeat each lease every
+// HeartbeatMillis, or the lease is revoked and its job re-queued.
 type ClaimResponseV1 struct {
-	Found           bool      `json:"found"`
-	LeaseID         string    `json:"lease_id,omitempty"`
-	Job             JobV1     `json:"job,omitempty"`
 	Leases          []LeaseV1 `json:"leases,omitempty"`
-	QueueDepth      int64     `json:"queue_depth"`
-	LeaseTTLMillis  int64     `json:"lease_ttl_ms,omitempty"`
 	HeartbeatMillis int64     `json:"heartbeat_ms,omitempty"`
 }
 
-// HeartbeatRequestV1 extends a lease. A 410 Gone response means the lease was
-// revoked (or its job finished elsewhere); the worker must abandon the run.
-type HeartbeatRequestV1 struct {
-	LeaseID string `json:"lease_id"`
-}
-
-// CompleteRequestV1 reports a finished job. Exactly one of Value (the
-// canonical sim.Result JSON) and Err is set.
+// CompleteRequestV1 reports one finished job inside a CompleteBatchRequestV1.
+// Exactly one of Value (the canonical sim.Result JSON) and Err is set.
 type CompleteRequestV1 struct {
 	LeaseID       string          `json:"lease_id"`
 	Value         json.RawMessage `json:"value,omitempty"`
@@ -309,9 +316,8 @@ type HeartbeatBatchRequestV1 struct {
 }
 
 // HeartbeatBatchResponseV1 lists the lease IDs that were already revoked
-// (their runs must be abandoned); every other lease was extended. Unlike the
-// singular endpoint, a partial revocation is a 200, not a 410 — the batch
-// succeeds as a whole.
+// (their runs must be abandoned); every other lease was extended. A partial
+// revocation is still a 200: the batch succeeds as a whole.
 type HeartbeatBatchResponseV1 struct {
 	Lost []string `json:"lost,omitempty"`
 }

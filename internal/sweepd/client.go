@@ -13,11 +13,6 @@ import (
 	"time"
 )
 
-// ErrLeaseLost reports that the coordinator revoked the caller's lease (410
-// Gone): the job was re-queued or finished elsewhere, and the worker must
-// abandon the run.
-var ErrLeaseLost = errors.New("sweepd: lease revoked by coordinator")
-
 // Client speaks the /v1/ API. The zero HTTP client has no global timeout —
 // outcome waits and event streams are long-lived by design; pass a context
 // to bound individual calls.
@@ -26,51 +21,42 @@ var ErrLeaseLost = errors.New("sweepd: lease revoked by coordinator")
 // retried with capped exponential backoff plus jitter. Every call is safe to
 // retry: reads are idempotent, lease semantics make claim/heartbeat/complete
 // replays harmless (a lost claim response leaves a lease that expires and
-// re-queues; a replayed complete on a consumed lease is a 410 the caller
-// already treats as ErrLeaseLost), and a duplicate submit coalesces onto the
-// first submission's in-flight jobs. 4xx responses (including 410) are never
-// retried.
+// re-queues; a replayed completion on a consumed lease comes back in Lost and
+// is discarded), and a duplicate submit coalesces onto the first submission's
+// in-flight jobs. 4xx responses are never retried.
 type Client struct {
 	base string
 	hc   *http.Client
 
-	// MaxRetries is the number of attempts after the first (0 disables
-	// retrying). RetryBase is the first backoff delay, doubled per attempt
-	// and capped at RetryMax; each delay is jittered to 50–100% of nominal.
-	MaxRetries int
-	RetryBase  time.Duration
-	RetryMax   time.Duration
+	// maxRetries is the number of attempts after the first (0 disables
+	// retrying). retryBase is the first backoff delay, doubled per attempt
+	// and capped at retryMax; each delay is jittered to 50–100% of nominal.
+	maxRetries int
+	retryBase  time.Duration
+	retryMax   time.Duration
 }
 
 // NewClient returns a client for the coordinator at addr ("host:port" or a
-// full http:// URL) with the default retry policy.
+// full http:// URL).
 func NewClient(addr string) *Client {
 	if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
 	}
-	c := &Client{base: strings.TrimRight(addr, "/"), hc: &http.Client{}}
-	c.defaults()
-	return c
+	return newClient(strings.TrimRight(addr, "/"), &http.Client{})
 }
 
-func (c *Client) defaults() {
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 4
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 50 * time.Millisecond
-	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = 2 * time.Second
-	}
+// newClient returns a client for base over hc with the default retry policy.
+func newClient(base string, hc *http.Client) *Client {
+	return &Client{base: base, hc: hc,
+		maxRetries: 4, retryBase: 50 * time.Millisecond, retryMax: 2 * time.Second}
 }
 
 // backoff sleeps out attempt's jittered exponential delay, or returns ctx's
 // error if it fires first.
 func (c *Client) backoff(ctx context.Context, attempt int) error {
-	d := c.RetryBase << attempt
-	if d > c.RetryMax || d <= 0 {
-		d = c.RetryMax
+	d := c.retryBase << attempt
+	if d > c.retryMax || d <= 0 {
+		d = c.retryMax
 	}
 	// Jitter to 50–100% so a fleet of workers retrying a restarted
 	// coordinator doesn't arrive in lockstep.
@@ -95,8 +81,8 @@ func transient(ctx context.Context, resp *http.Response, err error) bool {
 	return resp.StatusCode >= 500
 }
 
-// do issues one JSON round trip with retries. in==nil sends no body; out==nil
-// discards the response body. Error statuses surface the server's message.
+// do issues one JSON round trip with retries, decoding the response into out.
+// in==nil sends no body. Error statuses surface the server's message.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var blob []byte
 	if in != nil {
@@ -124,16 +110,10 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusGone {
-		return ErrLeaseLost
-	}
 	if resp.StatusCode >= 400 {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
 		return fmt.Errorf("sweepd: %s %s: %s: %s", method, path, resp.Status,
 			strings.TrimSpace(string(msg)))
-	}
-	if out == nil {
-		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
@@ -149,7 +129,7 @@ func (c *Client) roundTrip(ctx context.Context, build func() (*http.Request, err
 			return nil, err
 		}
 		resp, err := c.hc.Do(req)
-		if !transient(ctx, resp, err) || attempt >= c.MaxRetries {
+		if !transient(ctx, resp, err) || attempt >= c.maxRetries {
 			return resp, err
 		}
 		if resp != nil {
@@ -231,18 +211,12 @@ func (c *Client) Stats(ctx context.Context) (StatsV1, error) {
 }
 
 // Claim asks for up to max job leases in one round trip (max < 1 asks for
-// one). The response's QueueDepth is the backlog remaining after this claim.
+// one). No leases means the queue was empty.
 func (c *Client) Claim(ctx context.Context, worker string, max int) (ClaimResponseV1, error) {
 	var resp ClaimResponseV1
 	err := c.do(ctx, http.MethodPost, "/"+APIVersion+"/claim",
 		ClaimRequestV1{Worker: worker, Max: max}, &resp)
 	return resp, err
-}
-
-// Heartbeat extends a lease. ErrLeaseLost means the run must be abandoned.
-func (c *Client) Heartbeat(ctx context.Context, leaseID string) error {
-	return c.do(ctx, http.MethodPost, "/"+APIVersion+"/heartbeat",
-		HeartbeatRequestV1{LeaseID: leaseID}, nil)
 }
 
 // HeartbeatBatch extends several leases in one round trip and returns the
@@ -252,12 +226,6 @@ func (c *Client) HeartbeatBatch(ctx context.Context, leaseIDs []string) (Heartbe
 	err := c.do(ctx, http.MethodPost, "/"+APIVersion+"/heartbeats",
 		HeartbeatBatchRequestV1{LeaseIDs: leaseIDs}, &resp)
 	return resp, err
-}
-
-// Complete reports a finished job. ErrLeaseLost means the result was
-// discarded (the job was re-queued or finished elsewhere).
-func (c *Client) Complete(ctx context.Context, req CompleteRequestV1) error {
-	return c.do(ctx, http.MethodPost, "/"+APIVersion+"/complete", req, nil)
 }
 
 // CompleteBatch reports several finished jobs in one round trip and returns

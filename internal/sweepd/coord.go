@@ -32,24 +32,19 @@ const DefaultShards = 8
 
 // CoordinatorConfig configures a Coordinator.
 type CoordinatorConfig struct {
-	// CachePath is the persistent content-addressed result cache file
-	// (a runner.Checkpoint). "" keeps the cache in memory only. With more
-	// than one shard the path fans out to CachePath+".s<i>-of-<K>", one
-	// independent store per shard, so concurrent completions never
-	// serialize on a single file flush.
+	// CachePath names the persistent content-addressed result cache (a
+	// runner.Checkpoint per shard). "" keeps the cache in memory only.
+	// Shard i of K stores its entries in CachePath+".s<i>-of-<K>", so
+	// concurrent completions never serialize on a single file flush.
 	CachePath string
 	// Shards is the number of independent state shards (queue + in-flight
 	// table + lease table + result cache), keyed by fingerprint prefix.
-	// 0 selects DefaultShards; 1 reproduces the single-mutex layout.
+	// 0 selects DefaultShards.
 	Shards int
 	// LeaseTTL is how long a claimed job may go without a heartbeat before
-	// it is revoked and re-queued. 0 selects 30s.
+	// it is revoked and re-queued. 0 selects 30s. Workers are told to
+	// heartbeat every LeaseTTL/3, and the reaper scans every LeaseTTL/4.
 	LeaseTTL time.Duration
-	// HeartbeatInterval is the cadence workers are told to heartbeat at.
-	// 0 selects LeaseTTL/3.
-	HeartbeatInterval time.Duration
-	// ReapInterval is the revocation scan cadence. 0 selects LeaseTTL/4.
-	ReapInterval time.Duration
 	// MaxAttempts bounds how many times a job is re-queued after lease
 	// expiries before it is failed permanently. 0 selects 5.
 	MaxAttempts int
@@ -87,7 +82,7 @@ type Coordinator struct {
 
 // coordStats is the coordinator's atomic counter set, snapshotted into
 // StatsV1 by Stats(). queueDepth and activeLeases are maintained incrementally
-// so claims can report the backlog without touching every shard lock.
+// so a stats read never touches a shard lock.
 type coordStats struct {
 	sweeps, executed, failed atomic.Int64
 	cacheHits, cacheMisses   atomic.Int64
@@ -158,12 +153,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 30 * time.Second
 	}
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = cfg.LeaseTTL / 3
-	}
-	if cfg.ReapInterval <= 0 {
-		cfg.ReapInterval = cfg.LeaseTTL / 4
-	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 5
 	}
@@ -176,7 +165,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	for i := range c.shards {
 		path := cfg.CachePath
-		if path != "" && cfg.Shards > 1 {
+		if path != "" {
 			path = fmt.Sprintf("%s.s%d-of-%d", cfg.CachePath, i, cfg.Shards)
 		}
 		cache, err := runner.LoadCheckpoint(path, cacheMeta, cfg.Logf)
@@ -196,8 +185,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c.mux.HandleFunc("GET /"+APIVersion+"/sweeps/{id}/outcomes", c.handleOutcomes)
 	c.mux.HandleFunc("GET /"+APIVersion+"/sweeps/{id}/events", c.handleEvents)
 	c.mux.HandleFunc("POST /"+APIVersion+"/claim", c.handleClaim)
-	c.mux.HandleFunc("POST /"+APIVersion+"/heartbeat", c.handleHeartbeat)
-	c.mux.HandleFunc("POST /"+APIVersion+"/complete", c.handleComplete)
 	c.mux.HandleFunc("POST /"+APIVersion+"/heartbeats", c.handleHeartbeatBatch)
 	c.mux.HandleFunc("POST /"+APIVersion+"/completes", c.handleCompleteBatch)
 	c.mux.HandleFunc("GET /"+APIVersion+"/stats", c.handleStats)
@@ -248,9 +235,6 @@ func (c *Coordinator) logf(format string, args ...any) {
 // shardFor routes a fingerprint to its shard. Fingerprints are lower-case
 // hex, so the first two characters decode to a uniform byte.
 func (c *Coordinator) shardFor(fp string) *shard {
-	if len(c.shards) == 1 {
-		return c.shards[0]
-	}
 	b, err := strconv.ParseUint(fp[:2], 16, 16)
 	if err != nil {
 		// Fingerprints are produced by JobSpecV1.Fingerprint; anything else
@@ -452,17 +436,9 @@ func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	leases := c.claimLeases(req.Worker, req.Max)
-	resp := ClaimResponseV1{
-		Leases:     leases,
-		QueueDepth: c.stats.queueDepth.Load(),
-	}
-	if len(leases) > 0 {
-		resp.Found = true
-		resp.LeaseID = leases[0].LeaseID
-		resp.Job = leases[0].Job
-		resp.LeaseTTLMillis = c.cfg.LeaseTTL.Milliseconds()
-		resp.HeartbeatMillis = c.cfg.HeartbeatInterval.Milliseconds()
+	resp := ClaimResponseV1{Leases: c.claimLeases(req.Worker, req.Max)}
+	if len(resp.Leases) > 0 {
+		resp.HeartbeatMillis = (c.cfg.LeaseTTL / 3).Milliseconds()
 	}
 	writeJSON(w, resp)
 }
@@ -485,18 +461,6 @@ func (c *Coordinator) heartbeatOne(id string) bool {
 	}
 	l.deadline = time.Now().Add(c.cfg.LeaseTTL)
 	return true
-}
-
-func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req HeartbeatRequestV1
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if !c.heartbeatOne(req.LeaseID) {
-		http.Error(w, "sweepd: lease revoked", http.StatusGone)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (c *Coordinator) handleHeartbeatBatch(w http.ResponseWriter, r *http.Request) {
@@ -531,80 +495,15 @@ func (c *Coordinator) fanOut(d delivery) {
 	}
 }
 
-// completeOne resolves one completion under its shard lock and returns the
-// delivery to fan out (nil when the lease was revoked — lost=true — or the
-// task already finished). The cache write happens before the task leaves the
-// pending table, so a concurrent submit sees either the in-flight task or the
-// cached result, never a gap that would re-execute the spec.
-func (c *Coordinator) completeOne(req CompleteRequestV1) (d *delivery, lost bool) {
-	s := c.leaseShard(req.LeaseID)
-	if s == nil {
-		return nil, true
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	l, ok := s.leases[req.LeaseID]
-	if !ok {
-		// The lease expired and the job was re-queued (or finished elsewhere):
-		// determinism makes the duplicate result redundant, so drop it.
-		return nil, true
-	}
-	delete(s.leases, req.LeaseID)
-	c.stats.activeLeases.Add(-1)
-	t := l.t
-	if t.done {
-		return nil, false
-	}
-	t.done = true
-	if req.Err == "" {
-		c.stats.executed.Add(1)
-		if err := s.cache.Record(t.fp, req.Value); err != nil {
-			// A cache write failure costs future hits, never this result.
-			c.logf("sweepd: recording result %s: %v", t.fp[:12], err)
-		}
-	} else {
-		c.stats.failed.Add(1)
-	}
-	delete(s.pending, t.fp)
-	return &delivery{t: t, out: OutcomeV1{Value: req.Value, Err: req.Err},
-		worker: l.worker, elapsed: req.ElapsedMillis}, false
-}
-
-func validateCompletion(req CompleteRequestV1) error {
-	if (req.Value == nil) == (req.Err == "") {
-		return fmt.Errorf("sweepd: completion must set exactly one of value and err")
-	}
-	return nil
-}
-
-func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
-	var req CompleteRequestV1
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if err := validateCompletion(req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	d, lost := c.completeOne(req)
-	if lost {
-		http.Error(w, "sweepd: lease revoked", http.StatusGone)
-		return
-	}
-	if d != nil {
-		c.fanOut(*d)
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
 func (c *Coordinator) handleCompleteBatch(w http.ResponseWriter, r *http.Request) {
 	var req CompleteBatchRequestV1
 	if !decodeBody(w, r, &req) {
 		return
 	}
 	for _, comp := range req.Completions {
-		if err := validateCompletion(comp); err != nil {
-			http.Error(w, fmt.Sprintf("%v (lease %s)", err, comp.LeaseID), http.StatusBadRequest)
+		if (comp.Value == nil) == (comp.Err == "") {
+			http.Error(w, fmt.Sprintf("sweepd: completion must set exactly one of value and err (lease %s)",
+				comp.LeaseID), http.StatusBadRequest)
 			return
 		}
 	}
@@ -638,6 +537,10 @@ func (c *Coordinator) handleCompleteBatch(w http.ResponseWriter, r *http.Request
 
 // completeShardBatch resolves a batch of completions that all belong to one
 // shard under a single lock hold, with one cache flush for the whole batch.
+// The cache write happens before the lock is released, so a concurrent
+// submit sees either the in-flight task or the cached result, never a gap
+// that would re-execute the spec. A completion on a revoked lease is
+// returned in lost: determinism makes the duplicate result redundant.
 func (c *Coordinator) completeShardBatch(s *shard, comps []CompleteRequestV1) (ds []delivery, lost []string) {
 	var records []runner.BatchEntry
 	s.mu.Lock()
@@ -677,7 +580,7 @@ func (c *Coordinator) completeShardBatch(s *shard, comps []CompleteRequestV1) (d
 // permanently.
 func (c *Coordinator) reap() {
 	defer close(c.reapDone)
-	tick := time.NewTicker(c.cfg.ReapInterval)
+	tick := time.NewTicker(c.cfg.LeaseTTL / 4)
 	defer tick.Stop()
 	for {
 		select {

@@ -75,12 +75,7 @@ func (r *memResponse) Write(p []byte) (int, error) {
 // peer of a remote one (same wire encoding, same status-code handling), which
 // is what lets tests byte-compare in-process and remote sweep outcomes.
 func NewInProcessClient(c *Coordinator) *Client {
-	cl := &Client{
-		base: "http://sweepd.inproc",
-		hc:   &http.Client{Transport: handlerTransport{h: c.Handler()}},
-	}
-	cl.defaults()
-	return cl
+	return newClient("http://sweepd.inproc", &http.Client{Transport: handlerTransport{h: c.Handler()}})
 }
 
 // LoadOptions sizes a LoadTest run.
@@ -92,17 +87,16 @@ type LoadOptions struct {
 	SweepSize int
 	// Workers is the number of concurrent claiming worker loops. 0 selects 2.
 	Workers int
-	// Batch is the claim/complete batch width. 0 selects 32; 1 exercises the
-	// single-job endpoints (the pre-batching wire protocol) as a baseline.
+	// Batch is the claim/complete batch width. 0 selects 32.
 	Batch int
-	// Shards is the coordinator shard count. 0 selects DefaultShards;
-	// 1 reproduces the single-mutex coordinator as a baseline.
+	// Shards is the coordinator shard count. 0 selects DefaultShards.
 	Shards int
 	// InProcess serves requests straight through the coordinator's handler
 	// instead of a loopback TCP listener. The default (false) measures the
 	// real service path — connection handling, kernel buffering, syscalls —
 	// which is where batching pays; in-process mode isolates coordinator CPU
-	// cost and keeps allocation counts deterministic for benchmarks.
+	// cost and, with one worker, keeps allocation counts deterministic for
+	// benchmarks.
 	InProcess bool
 	// Logf receives progress lines (nil disables them).
 	Logf func(format string, args ...any)
@@ -235,17 +229,6 @@ func LoadTest(ctx context.Context, opts LoadOptions) (LoadReport, error) {
 				if len(resp.Leases) == 0 {
 					// Queue momentarily empty: another worker holds the tail.
 					time.Sleep(100 * time.Microsecond)
-					continue
-				}
-				if opts.Batch == 1 {
-					for _, lv := range resp.Leases {
-						err := client.Complete(wctx, CompleteRequestV1{
-							LeaseID: lv.LeaseID, Value: loadStubValue})
-						completeCalls.Add(1)
-						if err == nil {
-							completed.Add(1)
-						}
-					}
 					continue
 				}
 				comps := make([]CompleteRequestV1, len(resp.Leases))

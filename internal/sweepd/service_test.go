@@ -15,33 +15,9 @@ import (
 	"memsched/internal/sim"
 )
 
-// TestDesiredProcs pins the autoscaling policy: cover held work plus the
-// reported backlog, inside the configured bounds.
-func TestDesiredProcs(t *testing.T) {
-	cases := []struct {
-		inflight int
-		depth    int64
-		min, max int
-		want     int
-	}{
-		{0, 0, 1, 8, 1},   // idle: floor
-		{0, 100, 1, 8, 8}, // deep backlog: ceiling
-		{2, 1, 1, 8, 3},   // cover held + queued
-		{5, 0, 1, 4, 4},   // holding more than the ceiling: clamp
-		{0, 2, 3, 8, 3},   // floor dominates a shallow queue
-		{1, 0, 2, 2, 2},   // fixed pool (min == max)
-	}
-	for _, tc := range cases {
-		if got := desiredProcs(tc.inflight, tc.depth, tc.min, tc.max); got != tc.want {
-			t.Errorf("desiredProcs(%d, %d, %d, %d) = %d, want %d",
-				tc.inflight, tc.depth, tc.min, tc.max, got, tc.want)
-		}
-	}
-}
-
 // TestClientRetryFlakyServer pins the retry policy: transient 5xx responses
 // are retried with backoff until the server recovers, while 4xx responses
-// (including 410 lease revocations) fail immediately.
+// fail immediately.
 func TestClientRetryFlakyServer(t *testing.T) {
 	coord, err := NewCoordinator(CoordinatorConfig{})
 	if err != nil {
@@ -62,8 +38,8 @@ func TestClientRetryFlakyServer(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	client := NewClient(srv.URL)
-	client.RetryBase = time.Millisecond
-	client.RetryMax = 5 * time.Millisecond
+	client.retryBase = time.Millisecond
+	client.retryMax = 5 * time.Millisecond
 
 	// The first three attempts hit the outage; the retry loop must ride it out.
 	if _, err := client.Stats(context.Background()); err != nil {
@@ -83,21 +59,12 @@ func TestClientRetryFlakyServer(t *testing.T) {
 		t.Fatalf("bad request retried: %d requests, want 1", got)
 	}
 
-	// 410 maps to ErrLeaseLost without retries.
-	before = requests.Load()
-	if err := client.Heartbeat(context.Background(), "l0.999"); err != ErrLeaseLost {
-		t.Fatalf("heartbeat on unknown lease = %v, want ErrLeaseLost", err)
-	}
-	if got := requests.Load() - before; got != 1 {
-		t.Fatalf("410 retried: %d requests, want 1", got)
-	}
-
 	// The retry budget is finite: a permanent outage surfaces an error.
 	requests.Store(-1 << 30)
 	exhausted := NewClient(srv.URL)
-	exhausted.MaxRetries = 2
-	exhausted.RetryBase = time.Millisecond
-	exhausted.RetryMax = 2 * time.Millisecond
+	exhausted.maxRetries = 2
+	exhausted.retryBase = time.Millisecond
+	exhausted.retryMax = 2 * time.Millisecond
 	if _, err := exhausted.Stats(context.Background()); err == nil {
 		t.Fatal("permanent outage reported success")
 	}
@@ -162,7 +129,7 @@ func TestDebugHandler(t *testing.T) {
 // and revoked or malformed lease IDs surface in Lost instead of failing the
 // batch.
 func TestBatchClaimComplete(t *testing.T) {
-	_, client := newTestService(t, CoordinatorConfig{Shards: 4})
+	coord, client := newTestService(t, CoordinatorConfig{Shards: 4})
 	ctx := context.Background()
 
 	const jobs = 5
@@ -181,20 +148,17 @@ func TestBatchClaimComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(first.Leases) != 3 || !first.Found || first.QueueDepth != jobs-3 {
+	if depth := coord.Stats().QueueDepth; len(first.Leases) != 3 || depth != jobs-3 {
 		t.Fatalf("first claim = %d leases, depth %d; want 3 and %d",
-			len(first.Leases), first.QueueDepth, jobs-3)
-	}
-	if first.LeaseID != first.Leases[0].LeaseID {
-		t.Fatal("single-job mirror fields diverge from the lease list")
+			len(first.Leases), depth, jobs-3)
 	}
 	second, err := client.Claim(ctx, "batcher", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(second.Leases) != 2 || second.QueueDepth != 0 {
+	if depth := coord.Stats().QueueDepth; len(second.Leases) != 2 || depth != 0 {
 		t.Fatalf("second claim = %d leases, depth %d; want 2 and 0",
-			len(second.Leases), second.QueueDepth)
+			len(second.Leases), depth)
 	}
 
 	leases := append(first.Leases, second.Leases...)
@@ -241,7 +205,7 @@ func TestBatchClaimComplete(t *testing.T) {
 }
 
 // TestConcurrentSubmitStress is the determinism acceptance test under load:
-// overlapping sweeps submitted concurrently while two autoscaling workers
+// overlapping sweeps submitted concurrently while two three-slot workers
 // drain the queue with batched claims, across every (batch width × shard
 // count) combination — each outcome must be byte-identical to the serial
 // in-process run of its spec, regardless of which worker ran it, in which
@@ -276,8 +240,7 @@ func TestConcurrentSubmitStress(t *testing.T) {
 					RunWorker(wctx, WorkerOptions{
 						Coordinator: client.base,
 						Name:        fmt.Sprintf("stress-w%d", w),
-						MinProcs:    1,
-						MaxProcs:    3,
+						Slots:       3,
 						Batch:       combo.batch,
 						Poll:        2 * time.Millisecond,
 					})
@@ -354,9 +317,8 @@ func TestLeaseExpiryUnderLoad(t *testing.T) {
 	// under -race on a loaded single-CPU host — at 150ms the rescuer itself
 	// lost leases to scheduler starvation and the test flaked.
 	_, client := newTestService(t, CoordinatorConfig{
-		Shards:       4,
-		LeaseTTL:     500 * time.Millisecond,
-		ReapInterval: 25 * time.Millisecond,
+		Shards:   4,
+		LeaseTTL: 500 * time.Millisecond,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -392,8 +354,7 @@ func TestLeaseExpiryUnderLoad(t *testing.T) {
 		RunWorker(wctx, WorkerOptions{
 			Coordinator: client.base,
 			Name:        "rescuer",
-			MinProcs:    1,
-			MaxProcs:    2,
+			Slots:       2,
 			Batch:       3,
 			Poll:        5 * time.Millisecond,
 		})

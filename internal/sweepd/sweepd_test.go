@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"memsched/internal/config"
 	"memsched/internal/sim"
 )
 
@@ -22,10 +23,18 @@ func testSpec(policy string) JobSpecV1 {
 	return JobSpecV1{Mix: "2MEM-1", Policy: policy, Instr: 10_000, Seed: sim.EvalSeed}
 }
 
+// localRuns memoizes localBytes by fingerprint: runs are deterministic, and
+// several tests share the same large spec.
+var localRuns sync.Map
+
 // localBytes runs spec in-process and returns the canonical Result JSON — the
 // bytes a remote outcome must match exactly.
 func localBytes(t *testing.T, spec JobSpecV1) []byte {
 	t.Helper()
+	fp := spec.Fingerprint()
+	if blob, ok := localRuns.Load(fp); ok {
+		return blob.([]byte)
+	}
 	rs, err := spec.RunSpec()
 	if err != nil {
 		t.Fatal(err)
@@ -38,6 +47,7 @@ func localBytes(t *testing.T, spec JobSpecV1) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	localRuns.Store(fp, blob)
 	return blob
 }
 
@@ -112,6 +122,21 @@ func TestFingerprint(t *testing.T) {
 	}
 }
 
+// workerRejectedSpecs returns specs that name a valid workload and policy but
+// that the simulator refuses: a short ME list, a non-positive ME value, and
+// machines that fail config.Validate. Submit must refuse them too.
+func workerRejectedSpecs() map[string]JobSpecV1 {
+	cfg := config.Default(2)
+	cfg.Memory.ReadQueueCap = 0
+	return map[string]JobSpecV1{
+		"short me":    {Mix: "2MEM-1", Policy: "hf-rf", Instr: 1000, ME: []float64{1}},
+		"zero me":     {Mix: "2MEM-1", Policy: "hf-rf", Instr: 1000, ME: []float64{1, 0}},
+		"bad machine": {Mix: "2MEM-1", Policy: "hf-rf", Instr: 1000, Config: &cfg},
+		// The default machine has at most 64 cores.
+		"65 cores": {Apps: strings.Repeat("k", 65), Policy: "hf-rf", Instr: 1000},
+	}
+}
+
 func TestSpecValidation(t *testing.T) {
 	cases := map[string]JobSpecV1{
 		"neither":        {Policy: "hf-rf", Instr: 1000},
@@ -123,6 +148,9 @@ func TestSpecValidation(t *testing.T) {
 		"bad fix order":  {Mix: "2MEM-1", Policy: "fix:012", Instr: 1000},
 		"short classes":  {Mix: "2MEM-1", Policy: "hf-rf", Instr: 1000, Classes: "L"},
 		"bad class":      {Mix: "2MEM-1", Policy: "hf-rf", Instr: 1000, Classes: "LX"},
+	}
+	for name, spec := range workerRejectedSpecs() {
+		cases[name] = spec
 	}
 	for name, spec := range cases {
 		if _, err := spec.RunSpec(); err == nil {
@@ -139,11 +167,17 @@ func TestSpecValidation(t *testing.T) {
 	if _, err := testSpec("me-lreq").RunSpec(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
+	// An empty ME list encodes like a nil one, so it must mean the same.
+	spec := testSpec("me-lreq")
+	spec.ME = []float64{}
+	rs, err := spec.RunSpec()
+	if err != nil || rs.ME != nil {
+		t.Fatalf("empty ME list: spec %v, err %v; want the nil fallback", rs.ME, err)
+	}
 }
 
-func TestSubmitValidation(t *testing.T) {
-	_, client := newTestService(t, CoordinatorConfig{})
-	ctx := context.Background()
+// badSubmits returns sweep requests the coordinator must refuse with a 400.
+func badSubmits() []SweepRequestV1 {
 	bad := []SweepRequestV1{
 		{},
 		{Jobs: []JobV1{{Key: "", Spec: testSpec("hf-rf")}}},
@@ -151,7 +185,17 @@ func TestSubmitValidation(t *testing.T) {
 		{Jobs: []JobV1{{Key: "a", Spec: JobSpecV1{Mix: "nope", Policy: "hf-rf", Instr: 1}}}},
 		{Jobs: []JobV1{{Key: "a", Spec: JobSpecV1{Mix: "2MEM-1", Policy: "lru", Instr: 1}}}},
 	}
-	for i, req := range bad {
+	for name, spec := range workerRejectedSpecs() {
+		bad = append(bad, SweepRequestV1{Jobs: []JobV1{
+			{Key: "ok", Spec: testSpec("hf-rf")}, {ID: 1, Key: name, Spec: spec}}})
+	}
+	return bad
+}
+
+func TestSubmitValidation(t *testing.T) {
+	_, client := newTestService(t, CoordinatorConfig{})
+	ctx := context.Background()
+	for i, req := range badSubmits() {
 		if _, err := client.Submit(ctx, req); err == nil {
 			t.Errorf("bad request %d accepted", i)
 		}
@@ -382,8 +426,7 @@ func startWorkerAfterSweeps(ctx context.Context, t *testing.T, client *Client,
 // returns to the queue, and a second worker completes the sweep.
 func TestWorkerCrashRecovery(t *testing.T) {
 	coord, client := newTestService(t, CoordinatorConfig{
-		LeaseTTL:     150 * time.Millisecond,
-		ReapInterval: 25 * time.Millisecond,
+		LeaseTTL: 150 * time.Millisecond,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -446,9 +489,8 @@ func TestWorkerCrashRecovery(t *testing.T) {
 // of looping forever.
 func TestMaxAttemptsAbandon(t *testing.T) {
 	_, client := newTestService(t, CoordinatorConfig{
-		LeaseTTL:     40 * time.Millisecond,
-		ReapInterval: 10 * time.Millisecond,
-		MaxAttempts:  2,
+		LeaseTTL:    40 * time.Millisecond,
+		MaxAttempts: 2,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -467,7 +509,7 @@ func TestMaxAttemptsAbandon(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if claim.Found {
+			if len(claim.Leases) > 0 {
 				break
 			}
 			if time.Now().After(deadline) {

@@ -20,20 +20,14 @@ type WorkerOptions struct {
 	// Name identifies the worker in outcomes and logs. "" derives one from
 	// the hostname and PID.
 	Name string
-	// MinProcs and MaxProcs bound the executor pool. The worker sizes the
-	// pool inside [MinProcs, MaxProcs] from the queue-depth hint carried on
-	// every claim response: an empty coordinator queue lets the pool drain
-	// down to MinProcs, a deep backlog grows it to MaxProcs. MinProcs 0
-	// selects 1; MaxProcs 0 selects max(Slots, MinProcs, 1).
-	MinProcs int
-	MaxProcs int
-	// Batch is the most job leases fetched per claim round trip and the most
-	// completions reported per complete round trip. 0 selects MaxProcs;
-	// 1 keeps the single-job wire forms.
-	Batch int
-	// Slots is the legacy fixed pool size: when MinProcs and MaxProcs are
-	// both 0 it pins the pool to exactly Slots executors. 0 selects 1.
+	// Slots is the executor pool size: the most jobs run at once. 0 selects
+	// 1. The pool is fixed: with N slots the worker runs min(held, N) of the
+	// leases it holds at once, and idle executors block on the handoff
+	// channel at no cost.
 	Slots int
+	// Batch is the most job leases fetched per claim round trip and the most
+	// completions reported per complete round trip. 0 selects Slots.
+	Batch int
 	// JobTimeout bounds each job's wall clock (0 = unbounded). A timed-out
 	// job is reported as failed, exactly like the in-process pool.
 	JobTimeout time.Duration
@@ -44,31 +38,13 @@ type WorkerOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// desiredProcs sizes the executor pool: enough executors to cover the jobs
-// this worker already holds plus the coordinator's reported backlog, clamped
-// to [min, max]. It is a pure function so the autoscaling policy is testable
-// without a coordinator.
-func desiredProcs(inflight int, queueDepth int64, min, max int) int {
-	want := inflight + int(queueDepth)
-	if want < min {
-		want = min
-	}
-	if want > max {
-		want = max
-	}
-	return want
-}
-
-// worker is the runtime state behind RunWorker: one claim loop feeding an
-// autoscaled executor pool, one batch heartbeater covering every held lease,
-// and one completion batcher draining finished jobs back to the coordinator.
+// worker is the runtime state behind RunWorker: one claim loop feeding a
+// fixed executor pool, one batch heartbeater covering every held lease, and
+// one completion batcher draining finished jobs back to the coordinator.
 type worker struct {
 	client *Client
 	opts   WorkerOptions
 	root   context.Context // RunWorker's ctx: cancelled on shutdown
-	min    int
-	max    int
-	batch  int
 	logf   func(string, ...any)
 
 	jobs      chan LeaseV1           // claimed leases awaiting an executor
@@ -76,12 +52,8 @@ type worker struct {
 	hbMillis  atomic.Int64           // heartbeat cadence learned from claims
 	hbChanged chan struct{}          // pokes the heartbeater out of a stale sleep
 
-	mu       sync.Mutex
-	active   map[string]*activeRun // leases held: claimed, queued, or running
-	inflight int                   // len(active), tracked for desiredProcs
-	procs    int                   // live executors
-	target   int                   // pool size executors retire down to
-	execWG   sync.WaitGroup
+	mu     sync.Mutex
+	active map[string]*activeRun // leases held: claimed, queued, or running
 }
 
 // activeRun tracks one held lease from claim to completion. The heartbeater
@@ -121,10 +93,10 @@ func (ar *activeRun) setCancel(cancel context.CancelFunc) bool {
 // RunWorker claims and executes jobs until ctx is cancelled. Claims fetch up
 // to Batch leases per round trip; every held lease is heartbeated in one
 // batched beat; completed jobs are reported in batches sized by whatever has
-// finished since the last report. If the coordinator revokes a lease mid-run
-// (ErrLeaseLost), that simulation is cancelled and its result discarded. Jobs
-// run through runner.Execute, so a panicking run is reported as that job's
-// failure, never a worker crash. RunWorker returns nil after a clean shutdown.
+// finished since the last report. If a heartbeat reports a lease Lost, that
+// simulation is cancelled and its result discarded. Jobs run through
+// runner.Execute, so a panicking run is reported as that job's failure, never
+// a worker crash. RunWorker returns nil after a clean shutdown.
 func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	if opts.Poll <= 0 {
 		opts.Poll = 500 * time.Millisecond
@@ -133,36 +105,18 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 		host, _ := os.Hostname()
 		opts.Name = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	min, max := opts.MinProcs, opts.MaxProcs
-	if min <= 0 {
-		min = 1
+	if opts.Slots <= 0 {
+		opts.Slots = 1
 	}
-	if max <= 0 {
-		// Legacy Slots pins a fixed pool when no autoscale bounds are given.
-		if opts.MinProcs <= 0 && opts.Slots > 0 {
-			min = opts.Slots
-		}
-		max = min
-		if opts.Slots > max {
-			max = opts.Slots
-		}
-	}
-	if min > max {
-		min = max
-	}
-	batch := opts.Batch
-	if batch <= 0 {
-		batch = max
+	if opts.Batch <= 0 {
+		opts.Batch = opts.Slots
 	}
 	w := &worker{
 		client:    NewClient(opts.Coordinator),
 		opts:      opts,
 		root:      ctx,
-		min:       min,
-		max:       max,
-		batch:     batch,
-		jobs:      make(chan LeaseV1, batch),
-		comps:     make(chan CompleteRequestV1, batch),
+		jobs:      make(chan LeaseV1, opts.Batch),
+		comps:     make(chan CompleteRequestV1, opts.Batch),
 		hbChanged: make(chan struct{}, 1),
 		active:    map[string]*activeRun{},
 		logf: func(format string, args ...any) {
@@ -171,9 +125,17 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 			}
 		},
 	}
-	w.resize(min)
 
-	var bgWG sync.WaitGroup
+	var execWG, bgWG sync.WaitGroup
+	for i := 0; i < opts.Slots; i++ {
+		execWG.Add(1)
+		go func() {
+			defer execWG.Done()
+			for lv := range w.jobs {
+				w.runJob(lv)
+			}
+		}()
+	}
 	bgWG.Add(2)
 	go func() { defer bgWG.Done(); w.heartbeater(ctx) }()
 	go func() { defer bgWG.Done(); w.completer(ctx) }()
@@ -183,33 +145,9 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	// leases (their runs cancel immediately under the dead root context and
 	// report nothing, so the leases expire and re-queue) and exit.
 	close(w.jobs)
-	w.execWG.Wait()
+	execWG.Wait()
 	bgWG.Wait()
 	return nil
-}
-
-// resize grows the pool to target immediately and records the size excess
-// executors retire down to after their current job.
-func (w *worker) resize(target int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.target = target
-	for w.procs < target {
-		w.procs++
-		w.execWG.Add(1)
-		go w.executor()
-	}
-}
-
-// shouldRetire lets an idle-bound executor exit when the pool is above target.
-func (w *worker) shouldRetire() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.procs > w.target && w.procs > w.min {
-		w.procs--
-		return true
-	}
-	return false
 }
 
 // claimLoop fetches lease batches and hands them to the executor pool. The
@@ -224,7 +162,7 @@ func (w *worker) claimLoop(ctx context.Context) {
 		}
 	}
 	for ctx.Err() == nil {
-		resp, err := w.client.Claim(ctx, w.opts.Name, w.batch)
+		resp, err := w.client.Claim(ctx, w.opts.Name, w.opts.Batch)
 		if err != nil {
 			if ctx.Err() == nil {
 				w.logf("%s: claim: %v", w.opts.Name, err)
@@ -242,20 +180,13 @@ func (w *worker) claimLoop(ctx context.Context) {
 			default:
 			}
 		}
-		leases := resp.Leases
-		if len(leases) == 0 && resp.Found {
-			// A pre-batching coordinator answers in the single-job form.
-			leases = []LeaseV1{{LeaseID: resp.LeaseID, Job: resp.Job}}
-		}
-		w.resize(desiredProcs(w.holding()+len(leases), resp.QueueDepth, w.min, w.max))
-		if len(leases) == 0 {
+		if len(resp.Leases) == 0 {
 			idle()
 			continue
 		}
-		for _, lv := range leases {
+		for _, lv := range resp.Leases {
 			w.mu.Lock()
 			w.active[lv.LeaseID] = &activeRun{}
-			w.inflight++
 			w.mu.Unlock()
 			select {
 			case w.jobs <- lv:
@@ -268,28 +199,11 @@ func (w *worker) claimLoop(ctx context.Context) {
 	}
 }
 
-func (w *worker) holding() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.inflight
-}
-
 // release drops a lease from the active table once its run is resolved.
 func (w *worker) release(leaseID string) {
 	w.mu.Lock()
 	delete(w.active, leaseID)
-	w.inflight--
 	w.mu.Unlock()
-}
-
-func (w *worker) executor() {
-	defer w.execWG.Done()
-	for lv := range w.jobs {
-		w.runJob(lv)
-		if w.shouldRetire() {
-			return
-		}
-	}
 }
 
 // heartbeater extends every held lease in one batched round trip per beat.
@@ -318,19 +232,11 @@ func (w *worker) heartbeater(ctx context.Context) {
 		if len(ids) == 0 {
 			continue
 		}
-		var lost []string
-		if len(ids) == 1 && w.batch == 1 {
-			if err := w.client.Heartbeat(ctx, ids[0]); err == ErrLeaseLost {
-				lost = ids
-			}
-		} else {
-			resp, err := w.client.HeartbeatBatch(ctx, ids)
-			if err != nil {
-				continue
-			}
-			lost = resp.Lost
+		resp, err := w.client.HeartbeatBatch(ctx, ids)
+		if err != nil {
+			continue
 		}
-		for _, id := range lost {
+		for _, id := range resp.Lost {
 			w.mu.Lock()
 			ar := w.active[id]
 			w.mu.Unlock()
@@ -354,7 +260,7 @@ func (w *worker) completer(ctx context.Context) {
 			batch = append(batch, comp)
 		}
 	drain:
-		for len(batch) < w.batch {
+		for len(batch) < w.opts.Batch {
 			select {
 			case comp := <-w.comps:
 				batch = append(batch, comp)
@@ -367,13 +273,6 @@ func (w *worker) completer(ctx context.Context) {
 }
 
 func (w *worker) report(ctx context.Context, batch []CompleteRequestV1) {
-	if len(batch) == 1 {
-		err := w.client.Complete(ctx, batch[0])
-		if err != nil && err != ErrLeaseLost && ctx.Err() == nil {
-			w.logf("%s: reporting completion: %v", w.opts.Name, err)
-		}
-		return
-	}
 	resp, err := w.client.CompleteBatch(ctx, batch)
 	if err != nil {
 		if ctx.Err() == nil {
