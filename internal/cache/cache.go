@@ -8,15 +8,17 @@ import (
 	"fmt"
 
 	"memsched/internal/config"
+	"memsched/internal/trace"
 )
 
-// way is one cache block frame.
-type way struct {
-	valid   bool
-	dirty   bool
-	tag     uint64
-	lastUse uint64
-}
+// A frame is one tag word: the line shifted up by flagBits, then the valid
+// and dirty bits. An invalid frame is zero. trace.LineLimit keeps every line
+// below 2^62, so the shift never drops a bit and no two lines share a word.
+const (
+	dirtyBit = 1
+	validBit = 2
+	flagBits = 2
+)
 
 // Stats counts cache events.
 type Stats struct {
@@ -37,12 +39,18 @@ func (s *Stats) MissRate() float64 {
 
 // Cache is a single set-associative write-back cache operating on cache-line
 // addresses. It models only the tag array: the simulator never moves data.
+//
+// Each set is assoc consecutive tag words in recency order: valid words
+// first, most recently used first, and invalid words trailing. A hit or a
+// refill moves its word to the front, a fill shifts the set down by one and
+// evicts the word that falls off the end, and Invalidate closes the gap.
+// That is exactly true LRU, the order a per-frame stamp of the last use
+// would give, in 8 bytes per frame.
 type Cache struct {
-	sets     [][]way
-	setMask  uint64
-	assoc    int
-	useClock uint64
-	stats    Stats
+	tags    []uint64
+	setMask uint64
+	assoc   int
+	stats   Stats
 }
 
 // New builds a cache from a validated CacheConfig.
@@ -54,16 +62,11 @@ func New(cc config.CacheConfig) (*Cache, error) {
 	if nSets < 1 || nSets&(nSets-1) != 0 {
 		return nil, fmt.Errorf("cache: set count %d not a power of two", nSets)
 	}
-	c := &Cache{
-		sets:    make([][]way, nSets),
+	return &Cache{
+		tags:    make([]uint64, nSets*cc.Assoc),
 		setMask: uint64(nSets - 1),
 		assoc:   cc.Assoc,
-	}
-	ways := make([]way, nSets*cc.Assoc)
-	for i := range c.sets {
-		c.sets[i], ways = ways[:cc.Assoc], ways[cc.Assoc:]
-	}
-	return c, nil
+	}, nil
 }
 
 // MustNew is New but panics on invalid geometry.
@@ -76,7 +79,7 @@ func MustNew(cc config.CacheConfig) *Cache {
 }
 
 // Sets returns the number of sets (for tests).
-func (c *Cache) Sets() int { return len(c.sets) }
+func (c *Cache) Sets() int { return int(c.setMask) + 1 }
 
 // Stats returns a copy of the cache's event counts.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -84,72 +87,66 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats zeroes the event counts; contents and LRU state are kept.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-func (c *Cache) setOf(line uint64) []way { return c.sets[line&c.setMask] }
-
-func (c *Cache) tagOf(line uint64) uint64 { return line >> 0 } // full line as tag; set bits redundant but harmless
+// set returns line's set and its clean tag word. A line at or above
+// trace.LineLimit has no tag word, so it panics rather than alias another.
+func (c *Cache) set(line uint64) ([]uint64, uint64) {
+	if line >= trace.LineLimit {
+		panic(badLine(line))
+	}
+	base := int(line&c.setMask) * c.assoc
+	return c.tags[base : base+c.assoc], line<<flagBits | validBit
+}
 
 // Lookup probes for line. On a hit it updates LRU state and, if write is
 // set, marks the block dirty. It returns whether the access hit.
 func (c *Cache) Lookup(line uint64, write bool) bool {
-	set := c.setOf(line)
-	tag := c.tagOf(line)
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == tag {
-			c.useClock++
-			w.lastUse = c.useClock
-			if write {
-				w.dirty = true
-			}
-			c.stats.Hits++
-			return true
-		}
+	i := c.probe(line)
+	if i < 0 {
+		c.stats.Misses++
+		return false
 	}
-	c.stats.Misses++
-	return false
+	c.touch(line, i, write)
+	return true
 }
 
-// probe returns the way frame holding line, or nil on a miss. It records no
-// statistics and touches no LRU state: in-package callers on the hot path use
-// it to combine the hazard check and the tag lookup into one set scan,
-// applying Lookup's hit side effects via touch (or counting the miss
-// themselves) once the outcome is known. The scan order matches Lookup and
-// Peek exactly.
-func (c *Cache) probe(line uint64) *way {
-	set := c.setOf(line)
-	tag := c.tagOf(line)
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == tag {
-			return w
+// probe returns line's position in its set (0 = most recently used), or -1
+// on a miss. It records no statistics and touches no LRU state: in-package
+// callers on the hot path use it to combine the hazard check and the tag
+// lookup into one set scan, applying Lookup's hit side effects via touch (or
+// counting the miss themselves) once the outcome is known.
+func (c *Cache) probe(line uint64) int {
+	set, tag := c.set(line)
+	for i, w := range set {
+		if w&^dirtyBit == tag {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
-// touch applies Lookup's hit side effects to a frame returned by probe:
-// LRU refresh, optional dirty marking, and the hit count. The pointer is only
-// valid until the next Insert/Invalidate on this cache.
-func (c *Cache) touch(w *way, write bool) {
-	c.useClock++
-	w.lastUse = c.useClock
+// touch applies Lookup's hit side effects to line at position i, as returned
+// by probe: LRU refresh, optional dirty marking, and the hit count. The
+// position is only valid until the next Insert/Invalidate on this cache.
+func (c *Cache) touch(line uint64, i int, write bool) {
+	set, _ := c.set(line)
 	if write {
-		w.dirty = true
+		set[i] |= dirtyBit
 	}
+	promote(set, i, set[i])
 	c.stats.Hits++
 }
 
-// Peek probes for line without updating LRU, dirty bits, or statistics.
-func (c *Cache) Peek(line uint64) bool {
-	set := c.setOf(line)
-	tag := c.tagOf(line)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return true
-		}
+// promote moves the word at position i to the front of set as w, shifting
+// the more recently used words down by one.
+func promote(set []uint64, i int, w uint64) {
+	for ; i > 0; i-- {
+		set[i] = set[i-1]
 	}
-	return false
+	set[0] = w
 }
+
+// Peek probes for line without updating LRU, dirty bits, or statistics.
+func (c *Cache) Peek(line uint64) bool { return c.probe(line) >= 0 }
 
 // Victim describes a block evicted by Insert.
 type Victim struct {
@@ -158,42 +155,30 @@ type Victim struct {
 }
 
 // Insert fills line into the cache (after a miss was serviced), evicting the
-// LRU way if the set is full. dirty marks the incoming block dirty (e.g. a
+// LRU line if the set is full. dirty marks the incoming block dirty (e.g. a
 // store that missed). It returns the evicted block, if any.
 //
 // Inserting a line that is already present just refreshes its state (this
 // happens when two merged misses complete) and evicts nothing.
 func (c *Cache) Insert(line uint64, dirty bool) (Victim, bool) {
-	set := c.setOf(line)
-	tag := c.tagOf(line)
-	c.useClock++
-
-	// Already present: refresh.
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == tag {
-			w.lastUse = c.useClock
-			w.dirty = w.dirty || dirty
+	set, tag := c.set(line)
+	if dirty {
+		tag |= dirtyBit
+	}
+	for i, w := range set {
+		if w&^dirtyBit == tag&^dirtyBit {
+			promote(set, i, w|tag)
 			return Victim{}, false
 		}
 	}
-	// Free way?
-	for i := range set {
-		w := &set[i]
-		if !w.valid {
-			*w = way{valid: true, dirty: dirty, tag: tag, lastUse: c.useClock}
-			return Victim{}, false
-		}
+	// The last word falls off: the LRU line, or 0 if the set had a free frame.
+	last := len(set) - 1
+	old := set[last]
+	promote(set, last, tag)
+	if old == 0 {
+		return Victim{}, false
 	}
-	// Evict LRU.
-	lru := 0
-	for i := 1; i < len(set); i++ {
-		if set[i].lastUse < set[lru].lastUse {
-			lru = i
-		}
-	}
-	victim := Victim{Line: set[lru].tag, Dirty: set[lru].dirty}
-	set[lru] = way{valid: true, dirty: dirty, tag: tag, lastUse: c.useClock}
+	victim := Victim{Line: old >> flagBits, Dirty: old&dirtyBit != 0}
 	c.stats.Evictions++
 	if victim.Dirty {
 		c.stats.Writebacks++
@@ -203,14 +188,12 @@ func (c *Cache) Insert(line uint64, dirty bool) (Victim, bool) {
 
 // Invalidate removes line if present, returning whether it was dirty.
 func (c *Cache) Invalidate(line uint64) (wasPresent, wasDirty bool) {
-	set := c.setOf(line)
-	tag := c.tagOf(line)
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == tag {
-			d := w.dirty
-			*w = way{}
-			return true, d
+	set, tag := c.set(line)
+	for i, w := range set {
+		if w&^dirtyBit == tag {
+			copy(set[i:], set[i+1:])
+			set[len(set)-1] = 0
+			return true, w&dirtyBit != 0
 		}
 	}
 	return false, false
@@ -304,4 +287,12 @@ func (m *MSHR) Recycle(ws []Waiter) {
 		ws[i] = Waiter{}
 	}
 	m.pool = append(m.pool, ws[:0])
+}
+
+// badLine is the panic value for a line at or above trace.LineLimit. It is
+// formatted only when printed, which keeps set cheap enough to inline.
+type badLine uint64
+
+func (l badLine) Error() string {
+	return fmt.Sprintf("cache: line %#x at or above trace.LineLimit", uint64(l))
 }

@@ -4,6 +4,7 @@ import (
 	"memsched/internal/config"
 	"memsched/internal/memctrl"
 	"memsched/internal/stats"
+	"memsched/internal/trace"
 )
 
 // CoreAccessStats counts the data accesses one core made at each level.
@@ -326,14 +327,14 @@ const farFuture = int64(1)<<62 - 1
 // repeat identically until a fill frees an entry.
 func (h *Hierarchy) WouldRejectData(core int, line uint64) bool {
 	m := h.l1m[core]
-	return h.l1d[core].probe(line) == nil && !m.Outstanding(line) && m.Full()
+	return h.l1d[core].probe(line) < 0 && !m.Outstanding(line) && m.Full()
 }
 
 // WouldRejectInstr is WouldRejectData for the instruction-fetch path
 // (AccessInstr against the L1I and its MSHR file).
 func (h *Hierarchy) WouldRejectInstr(core int, line uint64) bool {
 	m := h.l1im[core]
-	return h.l1i[core].probe(line) == nil && !m.Outstanding(line) && m.Full()
+	return h.l1i[core].probe(line) < 0 && !m.Outstanding(line) && m.Full()
 }
 
 // L1DMSHRLen returns the occupied entries of core's L1D miss file
@@ -374,8 +375,8 @@ func (h *Hierarchy) Access(core int, line uint64, write bool, now int64, done fu
 	// One tag scan resolves both the structural-hazard check and the lookup.
 	// The hazard check comes first, before any statistics are recorded, so a
 	// rejected access leaves no trace and is simply retried by the core.
-	w := l1.probe(line)
-	if w == nil && !mshr.Outstanding(line) && mshr.Full() {
+	i := l1.probe(line)
+	if i < 0 && !mshr.Outstanding(line) && mshr.Full() {
 		return 0, false, false
 	}
 
@@ -384,8 +385,8 @@ func (h *Hierarchy) Access(core int, line uint64, write bool, now int64, done fu
 	} else {
 		cs.Loads.Inc()
 	}
-	if w != nil {
-		l1.touch(w, write)
+	if i >= 0 {
+		l1.touch(line, i, write)
 		cs.L1Hits.Inc()
 		return h.l1HitLat, false, true
 	}
@@ -410,13 +411,13 @@ func (h *Hierarchy) Access(core int, line uint64, write bool, now int64, done fu
 func (h *Hierarchy) AccessInstr(core int, line uint64, now int64, done func(int64)) (lat int64, async, ok bool) {
 	cs := &h.core[core]
 	l1, mshr := h.l1i[core], h.l1im[core]
-	w := l1.probe(line)
-	if w == nil && !mshr.Outstanding(line) && mshr.Full() {
+	i := l1.probe(line)
+	if i < 0 && !mshr.Outstanding(line) && mshr.Full() {
 		return 0, false, false
 	}
 	cs.IFetches.Inc()
-	if w != nil {
-		l1.touch(w, false)
+	if i >= 0 {
+		l1.touch(line, i, false)
 		return int64(h.cfg.L1I.HitLatency), false, true
 	}
 	l1.stats.Misses++
@@ -442,16 +443,16 @@ func (h *Hierarchy) l2Request(core int, line uint64, now int64, instr bool) {
 	// A miss needing a fresh MSHR entry while the file is full parks for
 	// the next cycle without touching any state (the port it consumed is
 	// released implicitly by not being counted yet).
-	w := h.l2.probe(line)
-	if w == nil && !h.l2m.Outstanding(line) && h.l2m.Full() {
+	i := h.l2.probe(line)
+	if i < 0 && !h.l2m.Outstanding(line) && h.l2m.Full() {
 		h.enqueueNext(hevent{when: now + 1, kind: hkL2Req, instr: instr, core: int32(core), line: line}, !h.noPark)
 		return
 	}
 	h.l2PortUsed++
 
 	cs := &h.core[core]
-	if w != nil {
-		h.l2.touch(w, false)
+	if i >= 0 {
+		h.l2.touch(line, i, false)
 		cs.L2Hits.Inc()
 		h.schedule(now+h.l2HitLat, hkFill, core, line, instr)
 		return
@@ -468,11 +469,11 @@ func (h *Hierarchy) l2Request(core int, line uint64, now int64, instr bool) {
 	h.l2Changed()
 	h.issueMemRead(core, line, now+h.l2HitLat) // tag-check latency before the request leaves
 
-	// Optional stream prefetch: pull the next sequential line into L2 too.
-	// The prefetch shares the demand path (same MSHR file and controller
-	// queue) but wakes nobody on completion.
-	if h.cfg.L2StreamPrefetch {
-		next := line + 1
+	// Optional stream prefetch: pull the next sequential line into L2 too,
+	// unless it is past the last line a trace can address. The prefetch
+	// shares the demand path (same MSHR file and controller queue) but wakes
+	// nobody on completion.
+	if next := line + 1; h.cfg.L2StreamPrefetch && next < trace.LineLimit {
 		if !h.l2.Peek(next) && !h.l2m.Outstanding(next) && !h.l2m.Full() {
 			if merged, _ := h.l2m.Allocate(next, Waiter{Core: NoCore}); !merged {
 				h.l2Changed()
@@ -546,8 +547,8 @@ func (h *Hierarchy) fillL1(core int, line uint64, now int64) {
 	if evicted && victim.Dirty {
 		// Write the dirty victim back into L2 (or to memory if L2 no longer
 		// holds it — non-inclusive hierarchy).
-		if w := h.l2.probe(victim.Line); w != nil {
-			h.l2.touch(w, true)
+		if i := h.l2.probe(victim.Line); i >= 0 {
+			h.l2.touch(victim.Line, i, true)
 		} else {
 			h.writeToMemory(core, victim.Line, now)
 		}

@@ -1,12 +1,14 @@
 package cache
 
 import (
+	"runtime"
 	"testing"
 
 	"memsched/internal/config"
 	"memsched/internal/dram"
 	"memsched/internal/memctrl"
 	"memsched/internal/sched"
+	"memsched/internal/trace"
 	"memsched/internal/xrand"
 )
 
@@ -310,6 +312,15 @@ func TestL2StreamPrefetch(t *testing.T) {
 	if h.CoreStats(0).L2Hits.Value() == 0 {
 		t.Fatal("prefetched line did not produce an L2 hit")
 	}
+	// The last line a trace can address is fetched alone: the prefetcher
+	// does not step onto trace.LineLimit, which has no tag word.
+	h, mc = mk(true)
+	done = 0
+	h.Access(0, trace.LineLimit-1, false, 0, func(int64) { done++ })
+	drive(h, mc, 0, func() bool { return done == 1 && h.Quiescent() }, 100000)
+	if mc.ReadsIssued() != 1 || h.CoreStats(0).Prefetches.Value() != 0 {
+		t.Fatalf("last line: %d reads, %d prefetches, want 1 and 0", mc.ReadsIssued(), h.CoreStats(0).Prefetches.Value())
+	}
 }
 
 // TestParkedRequestsSleep fills the 64-entry L2 miss file from three cores
@@ -389,4 +400,44 @@ func TestParkedRequestsSleep(t *testing.T) {
 	if got := memReads(); got != cores*perCore {
 		t.Errorf("memory reads = %d, want %d", got, cores*perCore)
 	}
+}
+
+// TestLineLimitPanics pins that a line with no tag word, which only a buggy
+// in-process generator can produce, stops the simulation instead of aliasing
+// another line: shifted into a tag word, trace.LineLimit+5 would read as 5.
+func TestLineLimitPanics(t *testing.T) {
+	h, _, _ := newHierarchy(t, 1, false)
+	h.L1D(0).Insert(5, true)
+	for _, line := range []uint64{trace.LineLimit + 5, 1<<64 - 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Access(line %#x) did not panic", line)
+				}
+			}()
+			h.Access(0, line, false, 1, nil)
+		}()
+	}
+}
+
+// TestHierarchyHostBytes pins the host memory one simulation's caches take:
+// one 8-byte tag word per frame plus a fixed overhead for the miss files and
+// the next-cycle queue. The stamped frames this layout replaced took 30 (L2)
+// and 36 (L1) bytes per frame, 2.6 MB for the Table 1 machine at 8 cores.
+func TestHierarchyHostBytes(t *testing.T) {
+	cfg := config.Default(8)
+	frames := cfg.L2.SizeBytes/cfg.L2.LineBytes +
+		cfg.Cores*(cfg.L1D.SizeBytes/cfg.L1D.LineBytes+cfg.L1I.SizeBytes/cfg.L1I.LineBytes)
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		NewHierarchy(&cfg, nil)
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / runs
+	if limit := uint64(8*frames + 64<<10); got > limit {
+		t.Fatalf("NewHierarchy(config.Default(8)) allocates %d B, want at most %d (8 B x %d frames + 64 KiB)", got, limit, frames)
+	}
+	t.Logf("NewHierarchy(config.Default(8)): %d B for %d frames", got, frames)
 }

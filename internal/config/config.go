@@ -248,6 +248,26 @@ func check(ok bool, format string, args ...any) error {
 
 func isPow2(v int) bool { return v > 0 && v&(v-1) == 0 }
 
+// Upper bounds on the fields that size a host allocation, so that no config
+// that passes Validate, such as one submitted to sweepd, can make a
+// simulation allocate without limit. Each is far above the Table 1 machine
+// and every machine the experiments and fixtures use.
+const (
+	// maxFrames bounds the blocks of one cache and of all caches together:
+	// at 8 bytes per tag word the tag store stays within 32 MiB.
+	maxFrames    = 1 << 22
+	maxAssoc     = 64
+	maxLineBytes = 4096
+	maxMSHRs     = 1024
+	// maxEntries bounds the ROB, IQ, LQ and SQ, the controller's read and
+	// write queues and MaxPendingPerCore.
+	maxEntries = 4096
+	// maxUnits bounds the channels, the ranks per channel and the banks per
+	// rank.
+	maxUnits    = 32
+	maxRowBytes = 1 << 16
+)
+
 // Validate checks structural invariants the simulator relies on. It returns
 // the first violation found.
 func (c *Config) Validate() error {
@@ -257,6 +277,9 @@ func (c *Config) Validate() error {
 		check(c.Core.IssueWidth >= 1, "issue width must be >= 1"),
 		check(c.Core.ROBSize >= c.Core.IssueWidth, "ROB smaller than issue width"),
 		check(c.Core.LQSize >= 1 && c.Core.SQSize >= 1, "LQ/SQ must be >= 1"),
+		check(c.Core.ROBSize <= maxEntries && c.Core.IQSize <= maxEntries &&
+			c.Core.LQSize <= maxEntries && c.Core.SQSize <= maxEntries,
+			"ROB/IQ/LQ/SQ must be <= %d", maxEntries),
 		check(c.Core.IntALUs >= 1 && c.Core.IntMults >= 1 &&
 			c.Core.FPALUs >= 1 && c.Core.FPMults >= 1,
 			"functional unit counts must be >= 1"),
@@ -267,20 +290,27 @@ func (c *Config) Validate() error {
 		c.validateCache("L2", c.L2),
 		check(c.L1D.LineBytes == c.L2.LineBytes, "L1D/L2 line sizes differ"),
 		check(c.L2PortsPerCycle >= 1, "L2 ports must be >= 1"),
-		check(isPow2(c.Memory.Channels), "channels %d not a power of two", c.Memory.Channels),
-		check(isPow2(c.Memory.RanksPerChan), "ranks %d not a power of two", c.Memory.RanksPerChan),
-		check(isPow2(c.Memory.BanksPerRank), "banks %d not a power of two", c.Memory.BanksPerRank),
-		check(isPow2(c.Memory.RowBytes), "row bytes %d not a power of two", c.Memory.RowBytes),
+		check(isPow2(c.Memory.Channels) && c.Memory.Channels <= maxUnits,
+			"channels %d not a power of two in [1,%d]", c.Memory.Channels, maxUnits),
+		check(isPow2(c.Memory.RanksPerChan) && c.Memory.RanksPerChan <= maxUnits,
+			"ranks %d not a power of two in [1,%d]", c.Memory.RanksPerChan, maxUnits),
+		check(isPow2(c.Memory.BanksPerRank) && c.Memory.BanksPerRank <= maxUnits,
+			"banks %d not a power of two in [1,%d]", c.Memory.BanksPerRank, maxUnits),
+		check(isPow2(c.Memory.RowBytes) && c.Memory.RowBytes <= maxRowBytes,
+			"row bytes %d not a power of two in [1,%d]", c.Memory.RowBytes, maxRowBytes),
 		check(c.Memory.RowBytes >= c.L2.LineBytes, "row smaller than a cache line"),
 		check(c.Memory.BusBytesPerNs > 0, "bus bandwidth must be positive"),
 		check(c.Memory.Timing.TRPns >= 0 && c.Memory.Timing.TRCDns >= 0 &&
 			c.Memory.Timing.TCLns >= 0, "DRAM timings must be non-negative"),
 		check(c.Memory.Timing.BurstNs > 0, "burst time must be positive"),
-		check(c.Memory.ReadQueueCap >= 1, "read queue capacity must be >= 1"),
-		check(c.Memory.WriteQueueCap >= 1, "write queue capacity must be >= 1"),
+		check(c.Memory.ReadQueueCap >= 1 && c.Memory.ReadQueueCap <= maxEntries,
+			"read queue capacity must be in [1,%d]", maxEntries),
+		check(c.Memory.WriteQueueCap >= 1 && c.Memory.WriteQueueCap <= maxEntries,
+			"write queue capacity must be in [1,%d]", maxEntries),
 		check(c.Memory.DrainHigh > c.Memory.DrainLow, "drain high watermark must exceed low"),
 		check(c.Memory.DrainHigh <= 1 && c.Memory.DrainLow >= 0, "drain watermarks out of [0,1]"),
-		check(c.Memory.MaxPendingPerCore >= 1, "max pending per core must be >= 1"),
+		check(c.Memory.MaxPendingPerCore >= 1 && c.Memory.MaxPendingPerCore <= maxEntries,
+			"max pending per core must be in [1,%d]", maxEntries),
 		check(c.Memory.PriorityBits >= 0 && c.Memory.PriorityBits <= 30,
 			"priority bits %d out of [0,30]", c.Memory.PriorityBits),
 		check(c.Memory.RowPolicy <= ClosePageStrict,
@@ -295,27 +325,32 @@ func (c *Config) Validate() error {
 			return err
 		}
 	}
+	// Each cache holds at most maxFrames blocks, so this cannot overflow.
+	frames := c.L2.SizeBytes/c.L2.LineBytes +
+		c.Cores*(c.L1I.SizeBytes/c.L1I.LineBytes+c.L1D.SizeBytes/c.L1D.LineBytes)
+	if frames > maxFrames {
+		return check(false, "caches hold %d blocks in all, above %d", frames, maxFrames)
+	}
 	return nil
 }
 
 func (c *Config) validateCache(name string, cc CacheConfig) error {
-	sets := 0
-	if cc.Assoc > 0 && cc.LineBytes > 0 {
-		sets = cc.SizeBytes / (cc.Assoc * cc.LineBytes)
-	}
+	// The operands are bounded before they are multiplied.
 	switch {
-	case !isPow2(cc.LineBytes):
-		return check(false, "%s line size %d not a power of two", name, cc.LineBytes)
-	case cc.Assoc < 1:
-		return check(false, "%s associativity %d < 1", name, cc.Assoc)
+	case !isPow2(cc.LineBytes) || cc.LineBytes > maxLineBytes:
+		return check(false, "%s line size %d not a power of two in [1,%d]", name, cc.LineBytes, maxLineBytes)
+	case cc.Assoc < 1 || cc.Assoc > maxAssoc:
+		return check(false, "%s associativity %d out of [1,%d]", name, cc.Assoc, maxAssoc)
+	case cc.SizeBytes/cc.LineBytes > maxFrames:
+		return check(false, "%s size %d holds more than %d blocks", name, cc.SizeBytes, maxFrames)
 	case cc.SizeBytes < cc.Assoc*cc.LineBytes:
 		return check(false, "%s size %d smaller than one set", name, cc.SizeBytes)
-	case !isPow2(sets):
-		return check(false, "%s set count %d not a power of two", name, sets)
+	case !isPow2(cc.SizeBytes / (cc.Assoc * cc.LineBytes)):
+		return check(false, "%s set count %d not a power of two", name, cc.SizeBytes/(cc.Assoc*cc.LineBytes))
 	case cc.HitLatency < 1:
 		return check(false, "%s hit latency %d < 1", name, cc.HitLatency)
-	case cc.MSHRs < 1:
-		return check(false, "%s MSHR count %d < 1", name, cc.MSHRs)
+	case cc.MSHRs < 1 || cc.MSHRs > maxMSHRs:
+		return check(false, "%s MSHR count %d out of [1,%d]", name, cc.MSHRs, maxMSHRs)
 	}
 	return nil
 }

@@ -118,6 +118,16 @@ func TestValidateRejects(t *testing.T) {
 		{"queue zero", func(c *Config) { c.Memory.ReadQueueCap = 0 }, "read queue"},
 		{"inverted drain", func(c *Config) { c.Memory.DrainHigh = 0.1; c.Memory.DrainLow = 0.5 }, "drain"},
 		{"priority bits", func(c *Config) { c.Memory.PriorityBits = 99 }, "priority bits"},
+		// Assoc*LineBytes wraps to 0 here; it must be refused, not divided by.
+		{"wrapping assoc", func(c *Config) { c.L2.Assoc = 1 << 58 }, "L2 associativity"},
+		{"1 TiB L2", func(c *Config) { c.L2.SizeBytes = 1 << 40 }, "L2 size"},
+		{"2^40 ROB", func(c *Config) { c.Core.ROBSize = 1 << 40 }, "ROB"},
+		{"huge L1 MSHRs", func(c *Config) { c.L1D.MSHRs = 1 << 20 }, "MSHR"},
+		{"huge read queue", func(c *Config) { c.Memory.ReadQueueCap = 1 << 20 }, "read queue"},
+		{"huge pending", func(c *Config) { c.Memory.MaxPendingPerCore = 1 << 20 }, "pending"},
+		{"huge banks", func(c *Config) { c.Memory.BanksPerRank = 1 << 20 }, "banks"},
+		{"huge rows", func(c *Config) { c.Memory.RowBytes = 1 << 30 }, "row bytes"},
+		{"all caches too big", func(c *Config) { *c = Default(64); c.L1D.SizeBytes = 64 << 20 }, "blocks in all"},
 	}
 	for _, m := range mutations {
 		cfg := Default(4)
@@ -130,6 +140,21 @@ func TestValidateRejects(t *testing.T) {
 		if !strings.Contains(strings.ToLower(err.Error()), strings.ToLower(m.frag)) {
 			t.Errorf("%s: error %q does not mention %q", m.name, err, m.frag)
 		}
+	}
+}
+
+// TestBoundsAdmitSweptMachines pins that the upper bounds leave room for the
+// largest machines the experiments and the sweep knobs' documented values
+// build: 64 cores, a 64 MiB L2, 128-entry controller queues, 4 channels and
+// 16 banks per rank.
+func TestBoundsAdmitSweptMachines(t *testing.T) {
+	cfg := Default(64)
+	cfg.L2.SizeBytes = 64 << 20
+	cfg.Memory.ReadQueueCap, cfg.Memory.WriteQueueCap = 128, 128
+	cfg.Memory.Channels, cfg.Memory.BanksPerRank = 4, 16
+	cfg.Core.ROBSize, cfg.Core.LQSize = 1024, 256
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

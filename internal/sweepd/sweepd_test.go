@@ -126,12 +126,19 @@ func TestFingerprint(t *testing.T) {
 // that the simulator refuses: a short ME list, a non-positive ME value, and
 // machines that fail config.Validate. Submit must refuse them too.
 func workerRejectedSpecs() map[string]JobSpecV1 {
-	cfg := config.Default(2)
-	cfg.Memory.ReadQueueCap = 0
+	machine := func(mut func(*config.Config)) *config.Config {
+		cfg := config.Default(2)
+		mut(&cfg)
+		return &cfg
+	}
 	return map[string]JobSpecV1{
 		"short me":    {Mix: "2MEM-1", Policy: "hf-rf", Instr: 1000, ME: []float64{1}},
 		"zero me":     {Mix: "2MEM-1", Policy: "hf-rf", Instr: 1000, ME: []float64{1, 0}},
-		"bad machine": {Mix: "2MEM-1", Policy: "hf-rf", Instr: 1000, Config: &cfg},
+		"bad machine": {Mix: "2MEM-1", Policy: "hf-rf", Instr: 1000, Config: machine(func(c *config.Config) { c.Memory.ReadQueueCap = 0 })},
+		// Assoc*LineBytes wraps to 0, which once panicked the handler.
+		"wrapping assoc": {Mix: "2MEM-1", Policy: "hf-rf", Instr: 1000, Config: machine(func(c *config.Config) { c.L2.Assoc = 1 << 58 })},
+		"1 TiB L2":       {Mix: "2MEM-1", Policy: "hf-rf", Instr: 1000, Config: machine(func(c *config.Config) { c.L2.SizeBytes = 1 << 40 })},
+		"2^40 ROB":       {Mix: "2MEM-1", Policy: "hf-rf", Instr: 1000, Config: machine(func(c *config.Config) { c.Core.ROBSize = 1 << 40 })},
 		// The default machine has at most 64 cores.
 		"65 cores": {Apps: strings.Repeat("k", 65), Policy: "hf-rf", Instr: 1000},
 	}

@@ -11,9 +11,12 @@ import (
 )
 
 // FuzzReader ensures arbitrary bytes never panic the decoder: it must return
-// a clean error or EOF. Seed corpus covers a valid header with garbage tails.
+// a clean error or EOF, and every line it decodes is below LineLimit. Seed
+// corpus covers a valid header with garbage tails and a load stepping below
+// line 0.
 func FuzzReader(f *testing.F) {
 	f.Add([]byte(magic))
+	f.Add(rawLoads(-1))
 	f.Add([]byte(magic + "\x05\x07garbage"))
 	f.Add([]byte("not a trace at all"))
 	var buf bytes.Buffer
@@ -34,6 +37,9 @@ func FuzzReader(f *testing.F) {
 					t.Fatal("empty error message")
 				}
 				return
+			}
+			if ins.Line >= LineLimit {
+				t.Fatalf("record %d: decoded line %#x", i, ins.Line)
 			}
 		}
 	})

@@ -103,6 +103,9 @@ func (r *Reader) Read(ins *Instr) error {
 			return fmt.Errorf("trace: truncated memory record: %w", err)
 		}
 		r.lastLine = uint64(int64(r.lastLine) + delta)
+		if r.lastLine >= LineLimit {
+			return fmt.Errorf("trace: record %d: line %#x at or above the line limit %#x", r.count, r.lastLine, LineLimit)
+		}
 		ins.Line = r.lastLine
 	}
 	r.count++

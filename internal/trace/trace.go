@@ -66,12 +66,19 @@ func (k Kind) IsMem() bool { return k == KindLoad || k == KindStore }
 // Instr is one dynamic instruction.
 type Instr struct {
 	Kind Kind
-	// Line is the cache-line address touched (loads and stores only).
+	// Line is the cache-line address touched (loads and stores only),
+	// always below LineLimit.
 	Line uint64
 	// DepOnLoad marks an instruction whose input is produced by the most
 	// recent older load; the core serializes it behind that load.
 	DepOnLoad bool
 }
+
+// LineLimit bounds every cache-line address: lines are below 2^62, so a
+// cache can pack one with its valid and dirty bits into a 64-bit tag word.
+// Reader rejects a record whose line reaches it, and the caches panic on
+// such a line. The built-in workloads stay below 2^31.
+const LineLimit uint64 = 1 << 62
 
 // Generator produces an infinite instruction stream. Next must be
 // allocation-free; the core calls it once per dispatched instruction.

@@ -2,7 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -248,6 +252,45 @@ func TestReaderRejectsGarbage(t *testing.T) {
 	}
 	if _, err := NewReader(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty input accepted")
+	}
+}
+
+// rawLoads encodes a trace of loads whose line deltas are given directly,
+// including deltas Writer never produces.
+func rawLoads(deltas ...int64) []byte {
+	data := []byte(magic)
+	for _, d := range deltas {
+		data = binary.AppendVarint(append(data, byte(KindLoad)), d)
+	}
+	return data
+}
+
+// TestReaderRejectsLinesAtLimit pins that no decoded line reaches LineLimit:
+// a first load with delta -1 would decode line 2^64-1. The error names the
+// record (counted from 0).
+func TestReaderRejectsLinesAtLimit(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		data   []byte
+		record string
+	}{
+		{"delta -1", rawLoads(-1), "record 0:"},
+		{"at limit", rawLoads(7, int64(LineLimit-8), 1), "record 2:"},
+		{"past limit", rawLoads(1<<62 + 3), "record 0:"},
+	} {
+		r, err := NewReader(bytes.NewReader(tc.data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ins Instr
+		for err == nil {
+			if err = r.Read(&ins); err == nil && ins.Line >= LineLimit {
+				t.Fatalf("%s: decoded line %#x", tc.name, ins.Line)
+			}
+		}
+		if errors.Is(err, io.EOF) || !strings.Contains(err.Error(), tc.record) {
+			t.Errorf("%s: got %v, want an error naming %q", tc.name, err, tc.record)
+		}
 	}
 }
 
