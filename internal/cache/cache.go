@@ -6,6 +6,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"memsched/internal/config"
 	"memsched/internal/trace"
@@ -221,28 +222,59 @@ type Waiter struct {
 
 // MSHR tracks outstanding misses, merging requests to the same line into one
 // downstream fetch.
+//
+// The file is an open-addressed hash table with linear probing, sized once
+// to at least twice its capacity, so a probe stops at a free slot within a
+// few steps. Take deletes by shifting the rest of the probe run back, which
+// leaves no tombstones. Each entry's waiters sit in a slice recycled through
+// pool, so steady-state operation allocates nothing.
 type MSHR struct {
-	cap     int
-	pending map[uint64][]Waiter
-	// pool recycles waiter slices between entries so steady-state allocation
-	// registers nothing.
-	pool [][]Waiter
+	slots []mshrSlot // a power of two long
+	shift uint       // 64 - log2(len(slots)): home keeps the hash's top bits
+	n     int        // occupied slots
+	cap   int
+	pool  [][]Waiter
+}
+
+// mshrSlot is one table slot; a nil ws marks it free.
+type mshrSlot struct {
+	line uint64
+	ws   []Waiter
 }
 
 // NewMSHR builds an MSHR file with n entries.
 func NewMSHR(n int) *MSHR {
-	return &MSHR{cap: n, pending: make(map[uint64][]Waiter, n)}
+	size := 2
+	for size < 2*n {
+		size *= 2
+	}
+	return &MSHR{slots: make([]mshrSlot, size), shift: uint(65 - bits.Len(uint(size))), cap: n}
+}
+
+// home is line's first probe position: a Fibonacci hash, whose top bits mix
+// every bit of the line, so neighbouring lines spread over the table.
+func (m *MSHR) home(line uint64) int { return int(line * 0x9e3779b97f4a7c15 >> m.shift) }
+
+// find returns line's slot and whether it is occupied by line; when it is
+// not, the slot is the free one where line's probe run ends.
+func (m *MSHR) find(line uint64) (int, bool) {
+	mask := len(m.slots) - 1
+	for i := m.home(line); ; i = (i + 1) & mask {
+		if s := &m.slots[i]; s.ws == nil || s.line == line {
+			return i, s.ws != nil
+		}
+	}
 }
 
 // Len returns the number of allocated entries (distinct outstanding lines).
-func (m *MSHR) Len() int { return len(m.pending) }
+func (m *MSHR) Len() int { return m.n }
 
 // Full reports whether a new (non-mergeable) allocation would fail.
-func (m *MSHR) Full() bool { return len(m.pending) >= m.cap }
+func (m *MSHR) Full() bool { return m.n >= m.cap }
 
 // Outstanding reports whether line already has an entry.
 func (m *MSHR) Outstanding(line uint64) bool {
-	_, ok := m.pending[line]
+	_, ok := m.find(line)
 	return ok
 }
 
@@ -251,20 +283,22 @@ func (m *MSHR) Outstanding(line uint64) bool {
 //	merged=true  if the line was already outstanding (no new fetch needed),
 //	ok=false     if a new entry was required but the file is full.
 func (m *MSHR) Allocate(line uint64, w Waiter) (merged, ok bool) {
-	if ws, exists := m.pending[line]; exists {
-		m.pending[line] = append(ws, w)
+	i, exists := m.find(line)
+	s := &m.slots[i]
+	if exists {
+		s.ws = append(s.ws, w)
 		return true, true
 	}
 	if m.Full() {
 		return false, false
 	}
-	var ws []Waiter
 	if n := len(m.pool); n > 0 {
-		ws, m.pool = m.pool[n-1], m.pool[:n-1]
+		s.ws, m.pool = m.pool[n-1], m.pool[:n-1]
 	} else {
-		ws = make([]Waiter, 0, 4)
+		s.ws = make([]Waiter, 0, 4)
 	}
-	m.pending[line] = append(ws, w)
+	s.line, s.ws = line, append(s.ws, w)
+	m.n++
 	return false, true
 }
 
@@ -272,11 +306,23 @@ func (m *MSHR) Allocate(line uint64, w Waiter) (merged, ok bool) {
 // order. The caller services them and then must hand the slice back via
 // Recycle. Taking a line with no entry is a bug in the caller and panics.
 func (m *MSHR) Take(line uint64) []Waiter {
-	ws, ok := m.pending[line]
+	i, ok := m.find(line)
 	if !ok {
 		panic(fmt.Sprintf("cache: MSHR completion for line %#x with no entry", line))
 	}
-	delete(m.pending, line)
+	ws := m.slots[i].ws
+	// Backward-shift deletion: walk the probe run after the hole, moving
+	// back each entry whose home does not lie between the hole and its slot,
+	// so every remaining line is still reachable from its home.
+	mask := len(m.slots) - 1
+	for j := (i + 1) & mask; m.slots[j].ws != nil; j = (j + 1) & mask {
+		if (j-m.home(m.slots[j].line))&mask >= (j-i)&mask {
+			m.slots[i] = m.slots[j]
+			i = j
+		}
+	}
+	m.slots[i] = mshrSlot{}
+	m.n--
 	return ws
 }
 

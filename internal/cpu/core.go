@@ -72,6 +72,9 @@ type Core struct {
 
 	rob        []robEntry
 	head, tail int64 // absolute indices; occupancy = tail - head
+	// headSlot and tailSlot are head and tail wrapped into rob, advanced
+	// beside them so that no access divides.
+	headSlot, tailSlot int
 
 	lqUsed, sqUsed int
 	iqWaiting      int // load-dependent instructions parked in the window
@@ -93,14 +96,17 @@ type Core struct {
 	// jumps on taken branches. A line missing from the L1I stalls dispatch.
 	codeLines   uint64
 	codeBase    uint64
-	takenProb   float64
+	taken       xrand.Prob
 	fetchLine   uint64
 	fetchOffset int
 	iLineReady  bool
 	iFetchBusy  bool // an asynchronous I-fetch is outstanding
 
 	lastLoad int64 // absolute index of youngest in-flight load, -1 if none
+	lastSlot int   // lastLoad wrapped into rob
 	idle     bool  // last Tick retired and dispatched nothing (see IdleLastTick)
+
+	mispredict xrand.Prob // cfg.Core.BranchMissPct, prepared once
 
 	// Quiescent fast path: when an idle Tick proves (via stallInfo) that every
 	// cycle before quietUntil can only repeat the same stall, later Ticks take
@@ -132,18 +138,19 @@ func NewCore(id int, cfg *config.Config, gen trace.Generator, hier *cache.Hierar
 		panic("cpu: nil dependency")
 	}
 	c := &Core{
-		id:       id,
-		cfg:      cfg,
-		gen:      gen,
-		hier:     hier,
-		rng:      rng,
-		rob:      make([]robEntry, cfg.Core.ROBSize),
-		lastLoad: -1,
+		id:         id,
+		cfg:        cfg,
+		gen:        gen,
+		hier:       hier,
+		rng:        rng,
+		rob:        make([]robEntry, cfg.Core.ROBSize),
+		lastLoad:   -1,
+		mispredict: xrand.NewProb(cfg.Core.BranchMissPct),
 	}
 	c.fuLimits = [4]int{cfg.Core.IntALUs, cfg.Core.IntMults, cfg.Core.FPALUs, cfg.Core.FPMults}
 	c.loadCB = make([]func(int64), len(c.rob))
 	for i := range c.loadCB {
-		slot := int64(i)
+		slot := i
 		c.loadCB[i] = func(t int64) { c.loadComplete(slot, t) }
 	}
 	c.storeDrainCB = func(int64) {
@@ -185,7 +192,7 @@ func (c *Core) ConfigureFetch(codeLines uint64, takenProb float64, base uint64) 
 	}
 	c.codeLines = codeLines
 	c.codeBase = base
-	c.takenProb = takenProb
+	c.taken = xrand.NewProb(takenProb)
 	c.fetchLine = 0
 	c.fetchOffset = 0
 	c.iLineReady = false
@@ -235,6 +242,9 @@ const (
 	localJumpSpan = 8 // lines either side of the current fetch line
 )
 
+// farJump is farJumpProb prepared for Rand.Hit.
+var farJump = xrand.NewProb(farJumpProb)
+
 // consumeFetch advances the fetch stream past one dispatched instruction;
 // taken reports whether the instruction redirected fetch.
 func (c *Core) consumeFetch(taken bool) {
@@ -242,7 +252,7 @@ func (c *Core) consumeFetch(taken bool) {
 		return
 	}
 	if taken {
-		if c.rng.Bernoulli(farJumpProb) {
+		if c.rng.Hit(farJump) {
 			c.fetchLine = c.rng.Uint64n(c.codeLines)
 		} else {
 			span := uint64(2*localJumpSpan + 1)
@@ -280,7 +290,13 @@ func (c *Core) Retired() uint64 { return c.stats.Retired }
 // the reorder buffer (telemetry sampling).
 func (c *Core) ROBOccupancy() int { return int(c.tail - c.head) }
 
-func (c *Core) slot(abs int64) *robEntry { return &c.rob[abs%int64(len(c.rob))] }
+// advance returns the ROB slot after slot.
+func (c *Core) advance(slot int) int {
+	if slot++; slot == len(c.rob) {
+		return 0
+	}
+	return slot
+}
 
 func (c *Core) robFull() bool { return c.tail-c.head >= int64(len(c.rob)) }
 
@@ -320,7 +336,7 @@ func (c *Core) retire(now int64) {
 	width := c.cfg.Core.IssueWidth
 	retiredNow := 0
 	for retiredNow < width && c.head < c.tail {
-		e := c.slot(c.head)
+		e := &c.rob[c.headSlot]
 		if e.readyAt == waiting || e.readyAt > now {
 			break
 		}
@@ -340,6 +356,7 @@ func (c *Core) retire(now int64) {
 			c.lqUsed--
 		}
 		c.head++
+		c.headSlot = c.advance(c.headSlot)
 		c.stats.Retired++
 		retiredNow++
 	}
@@ -367,7 +384,7 @@ func (c *Core) dispatch(now int64) {
 		if !c.dispatchOne(now, &c.pendingIns) {
 			return
 		}
-		c.consumeFetch(c.pendingIns.Kind == trace.KindBranch && c.rng.Bernoulli(c.takenProb))
+		c.consumeFetch(c.pendingIns.Kind == trace.KindBranch && c.rng.Hit(c.taken))
 		c.havePending = false
 		if now < c.fetchBlockedUntil {
 			// The instruction just dispatched was a resolved mispredicted
@@ -395,14 +412,12 @@ func (c *Core) dispatchOne(now int64, ins *trace.Instr) bool {
 			c.stats.DispatchHaz++
 			return false
 		}
-		abs := c.tail
-		lat, async, ok := c.hier.Access(c.id, ins.Line, false, now,
-			c.loadCB[abs%int64(len(c.rob))])
+		lat, async, ok := c.hier.Access(c.id, ins.Line, false, now, c.loadCB[c.tailSlot])
 		if !ok {
 			c.stats.DispatchHaz++
 			return false
 		}
-		e := c.slot(abs)
+		e := &c.rob[c.tailSlot]
 		*e = robEntry{isLoad: true, firstDep: -1, line: ins.Line}
 		if async {
 			e.readyAt = waiting
@@ -410,8 +425,8 @@ func (c *Core) dispatchOne(now int64, ins *trace.Instr) bool {
 			e.readyAt = now + lat
 		}
 		c.lqUsed++
-		c.lastLoad = abs
-		c.tail++
+		c.lastLoad, c.lastSlot = c.tail, c.tailSlot
+		c.pushTail()
 		c.stats.Loads++
 		return true
 
@@ -420,10 +435,9 @@ func (c *Core) dispatchOne(now int64, ins *trace.Instr) bool {
 			c.stats.DispatchHaz++
 			return false
 		}
-		e := c.slot(c.tail)
-		*e = robEntry{isStore: true, firstDep: -1, line: ins.Line, readyAt: now + 1}
+		c.rob[c.tailSlot] = robEntry{isStore: true, firstDep: -1, line: ins.Line, readyAt: now + 1}
 		c.sqUsed++
-		c.tail++
+		c.pushTail()
 		c.stats.Stores++
 		return true
 
@@ -433,12 +447,12 @@ func (c *Core) dispatchOne(now int64, ins *trace.Instr) bool {
 			return false
 		}
 		lat := c.computeLatency(ins.Kind)
-		e := c.slot(c.tail)
+		e := &c.rob[c.tailSlot]
 		*e = robEntry{firstDep: -1}
 		isBranch := ins.Kind == trace.KindBranch
 		if isBranch {
 			c.stats.Branches++
-			if c.rng.Bernoulli(cc.BranchMissPct) {
+			if c.rng.Hit(c.mispredict) {
 				e.mispred = true
 				c.stats.Mispredicts++
 			}
@@ -449,11 +463,11 @@ func (c *Core) dispatchOne(now int64, ins *trace.Instr) bool {
 				return false
 			}
 			// Park behind the youngest in-flight load.
-			load := c.slot(c.lastLoad)
+			load := &c.rob[c.lastSlot]
 			e.readyAt = waiting
 			e.depLat = lat
 			e.nextDep = load.firstDep
-			load.firstDep = int32(c.tail % int64(len(c.rob)))
+			load.firstDep = int32(c.tailSlot)
 			c.iqWaiting++
 		} else {
 			e.readyAt = now + lat
@@ -461,16 +475,22 @@ func (c *Core) dispatchOne(now int64, ins *trace.Instr) bool {
 				c.redirectFrontEnd(e.readyAt)
 			}
 		}
-		c.tail++
+		c.pushTail()
 		return true
 	}
+}
+
+// pushTail admits the instruction just written at tailSlot.
+func (c *Core) pushTail() {
+	c.tail++
+	c.tailSlot = c.advance(c.tailSlot)
 }
 
 func (c *Core) lastLoadInFlight() bool {
 	if c.lastLoad < c.head {
 		return false
 	}
-	e := c.slot(c.lastLoad)
+	e := &c.rob[c.lastSlot]
 	return e.isLoad && e.readyAt == waiting
 }
 
@@ -521,8 +541,9 @@ func (c *Core) computeLatency(k trace.Kind) int64 {
 // ROB slot `slot` and every instruction chained behind it. A load holds its
 // slot until it completes (in-order retirement cannot pass a waiting load),
 // so the occupant is always the load the callback was issued for; the guard
-// below is defensive, mirroring the old absolute-index check.
-func (c *Core) loadComplete(slot int64, now int64) {
+// below is defensive and ignores a completion for a slot that holds no
+// waiting load.
+func (c *Core) loadComplete(slot int, now int64) {
 	c.quietUntil = 0
 	e := &c.rob[slot]
 	if !e.isLoad || e.readyAt != waiting {
@@ -596,7 +617,7 @@ func (c *Core) stallInfo(now int64) (next int64, haz uint64) {
 	next = FarFuture
 	// Retire side: only the ROB head can unblock retirement.
 	if c.head < c.tail {
-		e := c.slot(c.head)
+		e := &c.rob[c.headSlot]
 		switch {
 		case e.readyAt == waiting:
 			// Blocked on a load completion (external).

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"memsched/internal/sim"
@@ -306,18 +307,19 @@ func TestPrimeCheckpointResume(t *testing.T) {
 
 	// A fresh lab on the same checkpoint resumes every evaluation instead of
 	// re-simulating, and serves identical numbers from its cache.
+	// Logf runs on the runner's workers, so the counters are atomic.
 	second := New(opts)
-	ran := 0
+	var ran atomic.Int64
 	second.opts.Logf = func(format string, _ ...any) {
 		if strings.Contains(format, "speedup") {
-			ran++
+			ran.Add(1)
 		}
 	}
 	if err := second.Prime(mixes, policies); err != nil {
 		t.Fatal(err)
 	}
-	if ran != 0 {
-		t.Fatalf("%d evaluations re-ran on resume, want 0", ran)
+	if n := ran.Load(); n != 0 {
+		t.Fatalf("%d evaluations re-ran on resume, want 0", n)
 	}
 	for _, mix := range mixes {
 		for _, pol := range policies {
@@ -341,16 +343,16 @@ func TestPrimeCheckpointResume(t *testing.T) {
 	other := opts
 	other.Instr = 20_000
 	third := New(other)
-	reran := 0
+	var reran atomic.Int64
 	third.opts.Logf = func(format string, _ ...any) {
 		if strings.Contains(format, "speedup") {
-			reran++
+			reran.Add(1)
 		}
 	}
 	if err := third.Prime(mixes, policies); err != nil {
 		t.Fatalf("prime over a mismatched checkpoint: %v", err)
 	}
-	if reran == 0 {
+	if reran.Load() == 0 {
 		t.Fatal("no evaluations ran: mismatched checkpoint was silently reused")
 	}
 	if _, err := os.Stat(path + ".bak"); err != nil {

@@ -285,6 +285,15 @@ func New(opts Options) (*System, error) {
 	s := &System{cfg: cfg, opts: opts, hier: hier, mc: mc, dramSy: dramSys,
 		frozenLat: make([]stats.LatencyHist, n)}
 	for i, a := range opts.Apps {
+		// Generators replace only the data stream: the front end still
+		// reads CodeLines and TakenProb, so every app's Params must hold.
+		err := a.Params.Validate()
+		if err == nil {
+			err = workload.CheckRegion(&a.Params)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("sim: core %d (%s): %w", i, a.Name, err)
+		}
 		var gen trace.Generator
 		if opts.Generators != nil {
 			gen = opts.Generators[i]

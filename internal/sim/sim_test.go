@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -61,6 +62,21 @@ func TestRunValidation(t *testing.T) {
 	if _, err := New(Options{Policy: "hf-rf", Apps: []workload.App{app(t, 'c')},
 		ME: []float64{1, 2}}); err == nil {
 		t.Error("mismatched ME vector accepted")
+	}
+	// A data region past half the region stride overlaps the core's code
+	// region and the next core's region.
+	huge := app(t, 'c')
+	huge.Params.FootprintLines = 1 << 40
+	if _, err := New(Options{Policy: "hf-rf", Apps: []workload.App{huge}}); err == nil {
+		t.Error("2^40-line footprint accepted")
+	}
+	// A generator override replaces the data stream, not the front end,
+	// which still draws taken branches from the app's TakenProb.
+	nan := app(t, 'c')
+	nan.Params.TakenProb = math.NaN()
+	if _, err := New(Options{Policy: "hf-rf", Apps: []workload.App{nan},
+		Generators: []trace.Generator{&fixedGen{}}}); err == nil {
+		t.Error("NaN TakenProb accepted with a generator override")
 	}
 	sys, err := New(Options{Policy: "hf-rf", Apps: []workload.App{app(t, 'c')}, Seed: 1})
 	if err != nil {

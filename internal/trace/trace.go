@@ -12,6 +12,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 
 	"memsched/internal/xrand"
 )
@@ -161,8 +162,29 @@ func (p *Params) coldGain() float64 {
 	return (1 - p.PhaseHotFrac*p.PhaseGain) / (1 - p.PhaseHotFrac)
 }
 
+// maxPhaseInstr bounds PhaseInstr, so that its conversion to an int period
+// cannot overflow even where int has 32 bits.
+const maxPhaseInstr = math.MaxInt32
+
 // Validate reports the first structural problem with the parameters.
 func (p *Params) Validate() error {
+	// Every float field must be finite: the generator turns them into
+	// integer thresholds, periods and run lengths, and converting NaN or an
+	// infinity to an integer is implementation-defined in Go.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"LoadFrac", p.LoadFrac}, {"StoreFrac", p.StoreFrac}, {"BranchFrac", p.BranchFrac},
+		{"FPFrac", p.FPFrac}, {"MulFrac", p.MulFrac},
+		{"StreamFrac", p.StreamFrac}, {"RandomFrac", p.RandomFrac},
+		{"RunLenLines", p.RunLenLines}, {"DepProb", p.DepProb}, {"TakenProb", p.TakenProb},
+		{"PhaseInstr", p.PhaseInstr}, {"PhaseHotFrac", p.PhaseHotFrac}, {"PhaseGain", p.PhaseGain},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("trace: %s = %v is not finite", f.name, f.v)
+		}
+	}
 	frac := func(name string, v float64) error {
 		if v < 0 || v > 1 {
 			return fmt.Errorf("trace: %s = %v out of [0,1]", name, v)
@@ -210,8 +232,8 @@ func (p *Params) Validate() error {
 	if err := frac("TakenProb", p.TakenProb); err != nil {
 		return err
 	}
-	if p.PhaseInstr < 0 {
-		return fmt.Errorf("trace: PhaseInstr %v < 0", p.PhaseInstr)
+	if p.PhaseInstr != 0 && (p.PhaseInstr < 1 || p.PhaseInstr > maxPhaseInstr) {
+		return fmt.Errorf("trace: PhaseInstr %v is neither 0 nor in [1, %d]", p.PhaseInstr, maxPhaseInstr)
 	}
 	if p.PhaseInstr > 0 {
 		if err := frac("PhaseHotFrac", p.PhaseHotFrac); err != nil {
@@ -238,6 +260,13 @@ type Synthetic struct {
 	rng  *xrand.Rand
 	base uint64 // address-space offset isolating this core's region
 
+	// Every per-instruction draw compares one of these prepared thresholds
+	// with an integer draw (see xrand.Prob). kinds[0] splits the
+	// instruction mix outside hot phases and kinds[1] inside them.
+	kinds          [2]kindThresholds
+	stream, random uint64 // memLine's pattern split: StreamFrac, + RandomFrac
+	dep, fp, mul   xrand.Prob
+
 	streamLine uint64
 	wordInLine int
 	runLeft    int
@@ -247,6 +276,13 @@ type Synthetic struct {
 	phaseHotLen int
 }
 
+// kindThresholds are the cumulative thresholds of one instruction mix: a
+// draw below load is a load, below store a store, below branch a branch.
+type kindThresholds struct{ load, store, branch uint64 }
+
+// threshold is the integer form of the float compare Float64() < x.
+func threshold(x float64) uint64 { return uint64(xrand.NewProb(x)) }
+
 // NewSynthetic builds a generator for the given parameters. base is the
 // first line address of the generator's private region (cores get disjoint
 // regions so multiprogrammed workloads share nothing, as in the paper).
@@ -255,6 +291,26 @@ func NewSynthetic(p Params, base uint64, seed uint64) (*Synthetic, error) {
 		return nil, err
 	}
 	g := &Synthetic{p: p, rng: xrand.New(seed), base: base}
+	// Each threshold comes from the float products and sums, in the order,
+	// that a compare of Float64() with the mix would use, so it splits the
+	// draws exactly where that compare does. A gain of 1 leaves a fraction
+	// exactly as it is.
+	mix := func(gain float64) kindThresholds {
+		load, store := p.LoadFrac*gain, p.StoreFrac*gain
+		return kindThresholds{
+			load:   threshold(load),
+			store:  threshold(load + store),
+			branch: threshold(load + store + p.BranchFrac),
+		}
+	}
+	cold := 1.0
+	if p.PhaseInstr > 0 {
+		cold = p.coldGain()
+	}
+	g.kinds = [2]kindThresholds{mix(cold), mix(p.PhaseGain)}
+	g.stream = threshold(p.StreamFrac)
+	g.random = threshold(p.StreamFrac + p.RandomFrac)
+	g.dep, g.fp, g.mul = xrand.NewProb(p.DepProb), xrand.NewProb(p.FPFrac), xrand.NewProb(p.MulFrac)
 	g.jump()
 	if p.PhaseInstr > 0 {
 		g.phasePeriod = int(p.PhaseInstr)
@@ -295,40 +351,37 @@ func (g *Synthetic) jump() {
 
 // Next implements Generator.
 func (g *Synthetic) Next(ins *Instr) {
-	loadFrac, storeFrac := g.p.LoadFrac, g.p.StoreFrac
+	k := &g.kinds[0]
 	if g.phasePeriod > 0 {
-		mul := g.p.coldGain()
 		if g.phasePos < g.phaseHotLen {
-			mul = g.p.PhaseGain
+			k = &g.kinds[1]
 		}
 		g.phasePos++
 		if g.phasePos >= g.phasePeriod {
 			g.phasePos = 0
 		}
-		loadFrac *= mul
-		storeFrac *= mul
 	}
-	r := g.rng.Float64()
+	x := g.rng.Uint53()
 	switch {
-	case r < loadFrac:
+	case x < k.load:
 		ins.Kind = KindLoad
 		ins.Line = g.memLine()
 		// A dependent load models pointer chasing: its address comes from
 		// the previous load, serializing the memory stream.
-		ins.DepOnLoad = g.rng.Bernoulli(g.p.DepProb)
-	case r < loadFrac+storeFrac:
+		ins.DepOnLoad = g.rng.Hit(g.dep)
+	case x < k.store:
 		ins.Kind = KindStore
 		ins.Line = g.memLine()
-		ins.DepOnLoad = g.rng.Bernoulli(g.p.DepProb)
-	case r < loadFrac+storeFrac+g.p.BranchFrac:
+		ins.DepOnLoad = g.rng.Hit(g.dep)
+	case x < k.branch:
 		ins.Kind = KindBranch
 		ins.Line = 0
-		ins.DepOnLoad = g.rng.Bernoulli(g.p.DepProb)
+		ins.DepOnLoad = g.rng.Hit(g.dep)
 	default:
 		ins.Line = 0
-		ins.DepOnLoad = g.rng.Bernoulli(g.p.DepProb)
-		fp := g.rng.Bernoulli(g.p.FPFrac)
-		mul := g.rng.Bernoulli(g.p.MulFrac)
+		ins.DepOnLoad = g.rng.Hit(g.dep)
+		fp := g.rng.Hit(g.fp)
+		mul := g.rng.Hit(g.mul)
 		switch {
 		case fp && mul:
 			ins.Kind = KindFPMul
@@ -344,9 +397,9 @@ func (g *Synthetic) Next(ins *Instr) {
 
 // memLine draws the next memory reference's cache-line address.
 func (g *Synthetic) memLine() uint64 {
-	r := g.rng.Float64()
+	x := g.rng.Uint53()
 	switch {
-	case r < g.p.StreamFrac:
+	case x < g.stream:
 		// Sequential walk: advance a line every WordsPerLine accesses, jump
 		// after the current run is exhausted.
 		g.wordInLine++
@@ -366,7 +419,7 @@ func (g *Synthetic) memLine() uint64 {
 			}
 		}
 		return g.base + g.streamLine
-	case r < g.p.StreamFrac+g.p.RandomFrac:
+	case x < g.random:
 		return g.base + g.rng.Uint64n(g.p.FootprintLines)
 	default:
 		return g.base + g.p.FootprintLines + g.rng.Uint64n(g.p.HotLines)

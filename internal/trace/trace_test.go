@@ -36,6 +36,15 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.FootprintLines = 0 },
 		func(p *Params) { p.HotLines = 0 },
 		func(p *Params) { p.DepProb = 1.5 },
+		// Non-finite values pass every range compare, and the generator
+		// would convert them to integers.
+		func(p *Params) { p.LoadFrac = math.NaN() },
+		func(p *Params) { p.TakenProb = math.NaN() },
+		func(p *Params) { p.RunLenLines = math.Inf(1) },
+		func(p *Params) { p.PhaseInstr, p.PhaseGain = 1000, math.Inf(1) },
+		// A phase period that truncates to 0 or overflows int.
+		func(p *Params) { p.PhaseInstr, p.PhaseHotFrac, p.PhaseGain = 0.5, 0.1, 2 },
+		func(p *Params) { p.PhaseInstr, p.PhaseHotFrac, p.PhaseGain = 1e300, 0.1, 2 },
 	}
 	for i, mut := range mutations {
 		p := validParams()

@@ -138,6 +138,9 @@ func LoadApps(r io.Reader) ([]App, error) {
 		if err := app.Params.Validate(); err != nil {
 			return nil, fmt.Errorf("workload: app %q: %w", c.Name, err)
 		}
+		if err := CheckRegion(&app.Params); err != nil {
+			return nil, fmt.Errorf("workload: app %q: %w", c.Name, err)
+		}
 		out = append(out, app)
 	}
 	return out, nil

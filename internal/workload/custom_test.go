@@ -70,6 +70,13 @@ func TestLoadAppsRejects(t *testing.T) {
 		"unknown field":   `[{"name": "x", "me": 1, "bogus": true}]`,
 		"invalid params":  `[{"name": "x", "me": 1, "params": {"loadFrac": 0.9, "storeFrac": 0.9}}]`,
 		"unknown p field": `[{"name": "x", "me": 1, "params": {"nope": 1}}]`,
+		// A period that truncates to 0 or overflows int once made sim.New
+		// panic on the loaded app.
+		"phase below 1": `[{"name": "x", "me": 1, "params": {"phaseInstr": 0.5, "phaseHotFrac": 0.1, "phaseGain": 2}}]`,
+		"phase 1e300":   `[{"name": "x", "me": 1, "params": {"phaseInstr": 1e300, "phaseHotFrac": 0.1, "phaseGain": 2}}]`,
+		// A 2^40-line footprint runs over the core's code region and every
+		// later core's region.
+		"footprint 2^40": `[{"name": "x", "me": 1, "params": {"footprintLines": 1099511627776}}]`,
 	}
 	for name, js := range cases {
 		if _, err := LoadApps(strings.NewReader(js)); err == nil {

@@ -281,3 +281,17 @@ func BaseFor(core int) uint64 { return uint64(core) * RegionStride }
 // CodeBaseFor returns the first line address of core i's code region, placed
 // in the upper half of its private region, far above any data footprint.
 func CodeBaseFor(core int) uint64 { return BaseFor(core) + RegionStride/2 }
+
+// CheckRegion reports an error when a generator with parameters p would not
+// fit in the lower half of a core's region, below CodeBaseFor: its data lines
+// would then alias the core's own code lines and the next cores' regions,
+// so "private" regions would share lines. The built-in applications take at
+// most 2^21 + 512 lines.
+func CheckRegion(p *trace.Params) error {
+	const half = RegionStride / 2
+	if p.FootprintLines > half || p.HotLines > half-p.FootprintLines {
+		return fmt.Errorf("workload: footprint %d + hot set %d lines exceed a core's %d-line data region",
+			p.FootprintLines, p.HotLines, half)
+	}
+	return nil
+}

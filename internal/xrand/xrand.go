@@ -9,7 +9,10 @@
 // state.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // splitMix64 advances a SplitMix64 state and returns the next output.
 // It is used to derive well-distributed seeds from arbitrary user seeds.
@@ -55,19 +58,14 @@ func NewStream(seed, stream uint64) *Rand {
 	return New(a ^ (b * 0x2545f4914f6cdd1d))
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
-// Uint64 returns the next 64 uniformly distributed bits.
+// Uint64 returns the next 64 uniformly distributed bits. The step works on
+// locals so that it is cheap enough to inline into its callers.
 func (r *Rand) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	s2 ^= s0
+	s3 ^= s1
+	r.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // Uint32 returns the next 32 uniformly distributed bits.
@@ -89,45 +87,59 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	}
 	// Lemire multiply-shift with rejection: accept unless the low half of the
 	// 128-bit product falls below (-n mod n), which would bias small residues.
-	threshold := (-n) % n
-	for {
-		hi, lo := mul64(r.Uint64(), n)
-		if lo >= threshold {
-			return hi
+	// That bound is below n, so the division is needed only when lo is.
+	hi, lo := bits.Mul64(r.Uint64(), n)
+	if lo < n {
+		threshold := -n % n
+		for lo < threshold {
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
+	return hi
 }
 
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += x0 * y1
-	hi = x1*y1 + w2 + w1>>32
-	lo = x * y
-	return
-}
+// Uint53 returns the next 53 uniformly distributed bits: the integer x for
+// which Float64 would have returned x·2^-53 from the same draw.
+func (r *Rand) Uint53() uint64 { return r.Uint64() >> 11 }
 
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
 func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(r.Uint53()) / (1 << 53)
 }
 
-// Bernoulli returns true with probability p (clamped to [0, 1]).
-func (r *Rand) Bernoulli(p float64) bool {
-	if p <= 0 {
-		return false
+// Prob is a probability p prepared for integer draws: the threshold
+// ⌈p·2^53⌉, clamped to [0, 2^53]. Uint53() < uint64(NewProb(p)) holds exactly
+// when Float64() < p would have held for the same draw, because Float64 is
+// x·2^-53 for an integer x, p·2^53 is exact, and an integer is below a real
+// number exactly when it is below that number's ceiling.
+type Prob uint64
+
+// probOne is the Prob of every p >= 1.
+const probOne = 1 << 53
+
+// NewProb prepares p. Every p <= 0, and NaN, becomes 0.
+func NewProb(p float64) Prob {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return probOne
 	}
-	if p >= 1 {
-		return true
-	}
-	return r.Float64() < p
+	return Prob(math.Ceil(p * (1 << 53)))
 }
+
+// Hit returns true with probability p: it returns Float64() < p from one
+// draw. A p of 0 returns false and a p of 1 true, without drawing.
+func (r *Rand) Hit(p Prob) bool {
+	if p-1 >= probOne-1 { // p == 0 or p == probOne
+		return p != 0
+	}
+	return r.Uint53() < uint64(p)
+}
+
+// Bernoulli returns true with probability p (clamped to [0, 1]). It is
+// Hit(NewProb(p)); callers that draw with one p repeatedly prepare it once.
+func (r *Rand) Bernoulli(p float64) bool { return r.Hit(NewProb(p)) }
 
 // Geometric returns a sample from the geometric distribution with the given
 // mean (mean >= 1): the number of trials up to and including the first

@@ -206,3 +206,111 @@ func BenchmarkUint64(b *testing.B) {
 	}
 	_ = sink
 }
+
+// BenchmarkUint64n draws from a small range, as the core's local branch
+// targets do.
+func BenchmarkUint64n(b *testing.B) {
+	r := New(1)
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		sink += r.Uint64n(17)
+	}
+	_ = sink
+}
+
+func BenchmarkBernoulli(b *testing.B) {
+	r := New(1)
+	sink := 0
+	for i := 0; i < b.N; i++ {
+		if r.Bernoulli(0.3) {
+			sink++
+		}
+	}
+	_ = sink
+}
+
+// floatBernoulli is the draw Hit replaced: the clamps, then a float compare.
+func floatBernoulli(r *Rand, p float64) bool {
+	if p <= 0 {
+		return false
+	}
+	if p >= 1 {
+		return true
+	}
+	return r.Float64() < p
+}
+
+// TestHitMatchesFloatCompare runs Hit(NewProb(p)) and the float compare on
+// two copies of one generator: every decision and the final states must
+// agree. Besides the edge values and random p, it builds p from the next
+// draw itself (x·2^-53 and its two neighbours), where a threshold one off
+// would decide differently.
+func TestHitMatchesFloatCompare(t *testing.T) {
+	ps := []float64{0, 5e-324, 0x1p-53, 0.1, 0.5, 1 - 0x1p-53, math.Nextafter(1, 0), 1, 1.5, -1}
+	src := New(77)
+	for i := 0; i < 200; i++ {
+		ps = append(ps, src.Float64(), float64(src.Uint64n(64))/64)
+	}
+	for _, p := range ps {
+		a, b := New(3), New(3)
+		prob := NewProb(p)
+		for i := 0; i < 1000; i++ {
+			if got, want := a.Hit(prob), floatBernoulli(b, p); got != want {
+				t.Fatalf("p=%v draw %d: Hit = %v, float compare %v", p, i, got, want)
+			}
+		}
+		if a.s != b.s {
+			t.Fatalf("p=%v: generator states diverged", p)
+		}
+	}
+	a, b := New(4), New(4)
+	for i := 0; i < 3000; i++ {
+		peek := *a
+		x := float64(peek.Uint53()) / (1 << 53)
+		p := [3]float64{x, math.Nextafter(x, 0), math.Nextafter(x, 1)}[i%3]
+		if got, want := a.Hit(NewProb(p)), floatBernoulli(b, p); got != want {
+			t.Fatalf("boundary p=%v (draw %v): Hit = %v, float compare %v", p, x, got, want)
+		}
+	}
+	if a.s != b.s {
+		t.Fatal("boundary draws: generator states diverged")
+	}
+}
+
+// mulUint64n is Uint64n as it was: a hand-rolled 128-bit product and the
+// rejection bound computed before the first draw.
+func mulUint64n(r *Rand, n uint64) uint64 {
+	threshold := (-n) % n
+	for {
+		x := r.Uint64()
+		const mask32 = 1<<32 - 1
+		x0, x1 := x&mask32, x>>32
+		y0, y1 := n&mask32, n>>32
+		w0 := x0 * y0
+		tt := x1*y0 + w0>>32
+		w1 := tt&mask32 + x0*y1
+		hi := x1*y1 + tt>>32 + w1>>32
+		if x*n >= threshold {
+			return hi
+		}
+	}
+}
+
+func TestUint64nMatchesReference(t *testing.T) {
+	src := New(21)
+	ns := []uint64{1, 2, 3, 196, 1<<32 + 1, 1<<63 - 1, 1 << 63, 1<<63 + 1, math.MaxUint64}
+	for i := 0; i < 100; i++ {
+		ns = append(ns, src.Uint64()|1<<63, src.Uint64()>>src.Uint64n(64)|1)
+	}
+	for _, n := range ns {
+		a, b := New(9), New(9)
+		for i := 0; i < 200; i++ {
+			if got, want := a.Uint64n(n), mulUint64n(b, n); got != want {
+				t.Fatalf("n=%#x draw %d: Uint64n = %d, reference %d", n, i, got, want)
+			}
+		}
+		if a.s != b.s {
+			t.Fatalf("n=%#x: generator states diverged", n)
+		}
+	}
+}
