@@ -691,7 +691,7 @@ func noise(ctx context.Context, l *lab.Lab) error {
 			return err
 		}
 		for _, pol := range []string{"hf-rf", "lreq", "me-lreq"} {
-			rep, err := l.RunReplicated(mix, pol, *replicasFlag)
+			rep, err := l.RunReplicated(ctx, mix, pol, *replicasFlag)
 			if err != nil {
 				return err
 			}

@@ -3,22 +3,21 @@ package cache
 import (
 	"memsched/internal/config"
 	"memsched/internal/memctrl"
-	"memsched/internal/stats"
 	"memsched/internal/trace"
 )
 
 // CoreAccessStats counts the data accesses one core made at each level.
 type CoreAccessStats struct {
-	Loads      stats.Counter
-	Stores     stats.Counter
-	L1Hits     stats.Counter
-	L1Misses   stats.Counter
-	L2Hits     stats.Counter
-	L2Misses   stats.Counter
-	MemReads   stats.Counter // demand fetches this core sent to DRAM
-	IFetches   stats.Counter // instruction-line fetches issued by the front end
-	L1IMisses  stats.Counter
-	Prefetches stats.Counter // L2 stream-prefetch fetches issued on this core's behalf
+	Loads      uint64
+	Stores     uint64
+	L1Hits     uint64
+	L1Misses   uint64
+	L2Hits     uint64
+	L2Misses   uint64
+	MemReads   uint64 // demand fetches this core sent to DRAM
+	IFetches   uint64 // instruction-line fetches issued by the front end
+	L1IMisses  uint64
+	Prefetches uint64 // L2 stream-prefetch fetches issued on this core's behalf
 }
 
 // Hierarchy wires per-core L1 data caches and the shared L2 to the memory
@@ -239,7 +238,7 @@ func (h *Hierarchy) fire(now int64, e *hevent) {
 		h.fillL2(int(e.core), e.line, now)
 	case hkMemRead:
 		if h.mc.EnqueueReadSink(h, int(e.core), e.line, now) {
-			h.core[e.core].MemReads.Inc()
+			h.core[e.core].MemReads++
 		} else {
 			h.schedule(now+1, hkMemRead, int(e.core), e.line, false)
 		}
@@ -381,17 +380,17 @@ func (h *Hierarchy) Access(core int, line uint64, write bool, now int64, done fu
 	}
 
 	if write {
-		cs.Stores.Inc()
+		cs.Stores++
 	} else {
-		cs.Loads.Inc()
+		cs.Loads++
 	}
 	if i >= 0 {
 		l1.touch(line, i, write)
-		cs.L1Hits.Inc()
+		cs.L1Hits++
 		return h.l1HitLat, false, true
 	}
 	l1.stats.Misses++
-	cs.L1Misses.Inc()
+	cs.L1Misses++
 
 	// L1 miss: reserve an MSHR entry (merging outstanding fetches of the
 	// same line). The waiter replays the access against L1 after the fill,
@@ -415,13 +414,13 @@ func (h *Hierarchy) AccessInstr(core int, line uint64, now int64, done func(int6
 	if i < 0 && !mshr.Outstanding(line) && mshr.Full() {
 		return 0, false, false
 	}
-	cs.IFetches.Inc()
+	cs.IFetches++
 	if i >= 0 {
 		l1.touch(line, i, false)
 		return int64(h.cfg.L1I.HitLatency), false, true
 	}
 	l1.stats.Misses++
-	cs.L1IMisses.Inc()
+	cs.L1IMisses++
 	merged, _ := mshr.Allocate(line, Waiter{Done: done})
 	if !merged {
 		h.schedule(now+int64(h.cfg.L1I.HitLatency), hkL2Req, core, line, true)
@@ -453,12 +452,12 @@ func (h *Hierarchy) l2Request(core int, line uint64, now int64, instr bool) {
 	cs := &h.core[core]
 	if i >= 0 {
 		h.l2.touch(line, i, false)
-		cs.L2Hits.Inc()
+		cs.L2Hits++
 		h.schedule(now+h.l2HitLat, hkFill, core, line, instr)
 		return
 	}
 	h.l2.stats.Misses++
-	cs.L2Misses.Inc()
+	cs.L2Misses++
 
 	// L2 miss: the waiter delivers the line to this core's L1 once DRAM
 	// returns it and the L2 is filled.
@@ -477,7 +476,7 @@ func (h *Hierarchy) l2Request(core int, line uint64, now int64, instr bool) {
 		if !h.l2.Peek(next) && !h.l2m.Outstanding(next) && !h.l2m.Full() {
 			if merged, _ := h.l2m.Allocate(next, Waiter{Core: NoCore}); !merged {
 				h.l2Changed()
-				h.core[core].Prefetches.Inc()
+				h.core[core].Prefetches++
 				h.issueMemRead(core, next, now+h.l2HitLat)
 			}
 		}
@@ -512,7 +511,7 @@ func (h *Hierarchy) completeL1(l1 *Cache, mshr *MSHR, line uint64, now int64) {
 // never touches the controller.
 func (h *Hierarchy) issueMemRead(core int, line uint64, now int64) {
 	if h.cfg.PerfectMemory {
-		h.core[core].MemReads.Inc()
+		h.core[core].MemReads++
 		h.schedule(now+1, hkFillL2, core, line, false)
 		return
 	}

@@ -61,8 +61,8 @@ func TestL1HitIsSynchronous(t *testing.T) {
 		t.Fatalf("hit latency = %d, want %d", lat, cfg.L1D.HitLatency)
 	}
 	cs := h.CoreStats(0)
-	if cs.Loads.Value() != 2 || cs.L1Hits.Value() != 1 || cs.L1Misses.Value() != 1 {
-		t.Fatalf("counters: loads=%d hits=%d misses=%d", cs.Loads.Value(), cs.L1Hits.Value(), cs.L1Misses.Value())
+	if cs.Loads != 2 || cs.L1Hits != 1 || cs.L1Misses != 1 {
+		t.Fatalf("counters: loads=%d hits=%d misses=%d", cs.Loads, cs.L1Hits, cs.L1Misses)
 	}
 }
 
@@ -77,8 +77,8 @@ func TestMissGoesToMemoryOnce(t *testing.T) {
 		t.Fatalf("DRAM reads = %d, want 1", mc.ReadsIssued())
 	}
 	cs := h.CoreStats(0)
-	if cs.L2Misses.Value() != 1 || cs.MemReads.Value() != 1 {
-		t.Fatalf("L2Misses=%d MemReads=%d", cs.L2Misses.Value(), cs.MemReads.Value())
+	if cs.L2Misses != 1 || cs.MemReads != 1 {
+		t.Fatalf("L2Misses=%d MemReads=%d", cs.L2Misses, cs.MemReads)
 	}
 	// L2 now holds the line: another core... same core after L1 eviction
 	// would hit L2. Simulate by invalidating L1 directly.
@@ -91,8 +91,8 @@ func TestMissGoesToMemoryOnce(t *testing.T) {
 	if mc.ReadsIssued() != 1 {
 		t.Fatalf("L2 hit went to memory: reads = %d", mc.ReadsIssued())
 	}
-	if cs.L2Hits.Value() != 1 {
-		t.Fatalf("L2Hits = %d, want 1", cs.L2Hits.Value())
+	if cs.L2Hits != 1 {
+		t.Fatalf("L2Hits = %d, want 1", cs.L2Hits)
 	}
 }
 
@@ -244,8 +244,8 @@ func TestAccessInstrPath(t *testing.T) {
 		t.Fatalf("warm I-fetch: lat=%d async=%v ok=%v", lat, async, ok)
 	}
 	cs := h.CoreStats(0)
-	if cs.IFetches.Value() != 2 || cs.L1IMisses.Value() != 1 {
-		t.Fatalf("counters: fetches=%d misses=%d", cs.IFetches.Value(), cs.L1IMisses.Value())
+	if cs.IFetches != 2 || cs.L1IMisses != 1 {
+		t.Fatalf("counters: fetches=%d misses=%d", cs.IFetches, cs.L1IMisses)
 	}
 	if !h.L1I(0).Peek(42) {
 		t.Fatal("line not in L1I")
@@ -295,8 +295,8 @@ func TestL2StreamPrefetch(t *testing.T) {
 	if mc.ReadsIssued() != 2 {
 		t.Fatalf("prefetch reads = %d, want 2 (demand + prefetch)", mc.ReadsIssued())
 	}
-	if h.CoreStats(0).Prefetches.Value() != 1 {
-		t.Fatalf("Prefetches = %d", h.CoreStats(0).Prefetches.Value())
+	if h.CoreStats(0).Prefetches != 1 {
+		t.Fatalf("Prefetches = %d", h.CoreStats(0).Prefetches)
 	}
 	if !h.L2().Peek(101) {
 		t.Fatal("prefetched line not in L2")
@@ -309,7 +309,7 @@ func TestL2StreamPrefetch(t *testing.T) {
 	if mc.ReadsIssued() != 2 {
 		t.Fatalf("reads after L2-hit access = %d, want 2", mc.ReadsIssued())
 	}
-	if h.CoreStats(0).L2Hits.Value() == 0 {
+	if h.CoreStats(0).L2Hits == 0 {
 		t.Fatal("prefetched line did not produce an L2 hit")
 	}
 	// The last line a trace can address is fetched alone: the prefetcher
@@ -318,8 +318,8 @@ func TestL2StreamPrefetch(t *testing.T) {
 	done = 0
 	h.Access(0, trace.LineLimit-1, false, 0, func(int64) { done++ })
 	drive(h, mc, 0, func() bool { return done == 1 && h.Quiescent() }, 100000)
-	if mc.ReadsIssued() != 1 || h.CoreStats(0).Prefetches.Value() != 0 {
-		t.Fatalf("last line: %d reads, %d prefetches, want 1 and 0", mc.ReadsIssued(), h.CoreStats(0).Prefetches.Value())
+	if mc.ReadsIssued() != 1 || h.CoreStats(0).Prefetches != 0 {
+		t.Fatalf("last line: %d reads, %d prefetches, want 1 and 0", mc.ReadsIssued(), h.CoreStats(0).Prefetches)
 	}
 }
 
@@ -351,7 +351,7 @@ func TestParkedRequestsSleep(t *testing.T) {
 	memReads := func() uint64 {
 		var n uint64
 		for c := 0; c < cores; c++ {
-			n += h.CoreStats(c).MemReads.Value()
+			n += h.CoreStats(c).MemReads
 		}
 		return n
 	}

@@ -3,9 +3,8 @@ package cache
 // The hierarchy's internal latency events all carry the same tiny payload —
 // a core, a line, and a destination — so they are stored as plain values in a
 // typed min-heap instead of closures on a generic event queue. Ordering is
-// (when, insertion seq), identical to event.Queue, which keeps simulation
-// results byte-for-byte the same while making the steady-state miss path
-// allocation-free.
+// (when, insertion seq), so events due in the same cycle run in the order
+// they were scheduled, and the steady-state miss path allocates nothing.
 
 // hevent kinds.
 const (

@@ -423,7 +423,7 @@ func TestFetchDisabledByDefault(t *testing.T) {
 	if r.core.Stats().IFetchStalls != 0 {
 		t.Fatal("fetch stalls recorded without ConfigureFetch")
 	}
-	if r.hier.CoreStats(0).IFetches.Value() != 0 {
+	if r.hier.CoreStats(0).IFetches != 0 {
 		t.Fatal("instruction fetches issued without ConfigureFetch")
 	}
 }
@@ -433,7 +433,7 @@ func TestConfigureFetchZeroDisables(t *testing.T) {
 	r.core.ConfigureFetch(64, 0.5, 0)
 	r.core.ConfigureFetch(0, 0, 0) // disable again
 	r.run(1000)
-	if r.hier.CoreStats(0).IFetches.Value() != 0 {
+	if r.hier.CoreStats(0).IFetches != 0 {
 		t.Fatal("fetches issued after disabling")
 	}
 }

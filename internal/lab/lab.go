@@ -310,11 +310,12 @@ type Replicated struct {
 // deviation of the SMT speedup — a noise estimate the paper's single-run
 // methodology lacks. Replicas recompute single-core references for their
 // own seed, so each sample is internally consistent. Results are not cached.
-func (l *Lab) RunReplicated(mix workload.Mix, policy string, n int) (Replicated, error) {
+// Cancelling ctx stops the profiling and replica runs mid-simulation.
+func (l *Lab) RunReplicated(ctx context.Context, mix workload.Mix, policy string, n int) (Replicated, error) {
 	if n < 1 {
 		return Replicated{}, fmt.Errorf("lab: replication count %d < 1", n)
 	}
-	mes, _, err := l.MixVectors(mix)
+	mes, _, err := l.MixVectorsContext(ctx, mix)
 	if err != nil {
 		return Replicated{}, err
 	}
@@ -328,13 +329,13 @@ func (l *Lab) RunReplicated(mix workload.Mix, policy string, n int) (Replicated,
 		seed := l.opts.Seed + uint64(rep)*0x9E3779B97F4A7C15
 		singles := make([]float64, len(apps))
 		for i, a := range apps {
-			p, err := sim.ProfileAppContext(context.Background(), a, l.opts.Instr, seed)
+			p, err := sim.ProfileAppContext(ctx, a, l.opts.Instr, seed)
 			if err != nil {
 				return Replicated{}, err
 			}
 			singles[i] = p.IPC
 		}
-		res, err := sim.Run(context.Background(), sim.RunSpec{
+		res, err := sim.Run(ctx, sim.RunSpec{
 			Mix: mix, Policy: policy, Instr: l.opts.Instr, ME: mes, Seed: seed,
 		})
 		if err != nil {
@@ -373,76 +374,30 @@ func (l *Lab) Prime(mixes []workload.Mix, policies []string) error {
 // persistent completed-run checkpoints that a later PrimeContext on the same
 // file resumes from instead of re-simulating.
 func (l *Lab) PrimeContext(ctx context.Context, mixes []workload.Mix, policies []string) error {
-	// Profiles and references first: they feed every run, and keeping them
-	// serial keeps their log order (and any profiling error) deterministic.
-	for _, mix := range mixes {
-		if _, _, err := l.MixVectorsContext(ctx, mix); err != nil {
-			return err
-		}
-	}
-	type job struct {
-		mix workload.Mix
-		pol string
-	}
-	var jobs []job
-	var keys []string
+	jobs := make([]ClassedJob, 0, len(mixes)*len(policies))
 	for _, mix := range mixes {
 		for _, pol := range policies {
-			l.mu.Lock()
-			_, done := l.runs[runKey{mix.Name, pol, ""}]
-			l.mu.Unlock()
-			if !done {
-				jobs = append(jobs, job{mix, pol})
-				keys = append(keys, mix.Name+"/"+pol)
-			}
+			jobs = append(jobs, ClassedJob{Mix: mix, Policy: pol})
 		}
 	}
-	if len(jobs) == 0 {
-		return nil
-	}
-	outs, err := runner.Run(ctx, runner.NewJobs(keys),
-		func(ctx context.Context, j runner.Job) (RunOut, error) {
-			return l.RunContext(ctx, jobs[j.ID].mix, jobs[j.ID].pol)
-		},
-		runner.Options{
-			Workers:    l.opts.Workers,
-			JobTimeout: l.opts.JobTimeout,
-			Progress:   l.opts.Progress,
-			Logf:       l.opts.Logf,
-			Checkpoint: l.opts.Checkpoint,
-			Meta: fmt.Sprintf("lab instr=%d profinstr=%d seed=%#x",
-				l.opts.Instr, l.opts.ProfInstr, l.opts.Seed),
-		})
-	// Splice checkpoint-resumed evaluations into the run cache so subsequent
-	// Run calls are cache hits without re-simulating.
-	for _, o := range outs {
-		if !o.Resumed {
-			continue
-		}
-		mixName, pol, _ := splitKey(o.Job.Key)
-		l.mu.Lock()
-		l.runs[runKey{mixName, pol, ""}] = o.Value
-		l.mu.Unlock()
-	}
-	if err != nil {
-		return err
-	}
-	return runner.FirstError(outs)
+	return l.PrimeClassedContext(ctx, jobs)
 }
 
 // ClassedJob names one (mix, policy, classes) evaluation for
-// PrimeClassedContext.
+// PrimeClassedContext; nil Classes is the classless run.
 type ClassedJob struct {
 	Mix     workload.Mix
 	Policy  string
 	Classes []workload.ServiceClass
 }
 
-// PrimeClassedContext fills the run cache for an explicit list of classed
-// evaluations, fanning independent runs across the worker pool the way
-// PrimeContext does for classless sweeps. After it returns nil,
+// PrimeClassedContext fills the run cache for an explicit list of
+// evaluations, classed or classless, on the worker pool with PrimeContext's
+// timeouts, progress and checkpoint/resume. After it returns nil,
 // RunClassedContext on the same triples is a cache hit.
 func (l *Lab) PrimeClassedContext(ctx context.Context, jobs []ClassedJob) error {
+	// Profiles and references first: they feed every run, and keeping them
+	// serial keeps their log order (and any profiling error) deterministic.
 	seen := map[string]bool{}
 	for _, j := range jobs {
 		if !seen[j.Mix.Name] {
@@ -461,7 +416,7 @@ func (l *Lab) PrimeClassedContext(ctx context.Context, jobs []ClassedJob) error 
 		l.mu.Unlock()
 		if !done {
 			pending = append(pending, j)
-			keys = append(keys, j.Mix.Name+"/"+j.Policy+"/"+cls)
+			keys = append(keys, checkpointKey(j.Mix.Name, j.Policy, cls))
 		}
 	}
 	if len(pending) == 0 {
@@ -481,20 +436,16 @@ func (l *Lab) PrimeClassedContext(ctx context.Context, jobs []ClassedJob) error 
 			Meta: fmt.Sprintf("lab instr=%d profinstr=%d seed=%#x",
 				l.opts.Instr, l.opts.ProfInstr, l.opts.Seed),
 		})
-	for _, o := range outs {
-		if !o.Resumed {
-			continue
+	// Splice checkpoint-resumed evaluations into the run cache so subsequent
+	// Run calls are cache hits without re-simulating.
+	for i, o := range outs {
+		if o.Resumed {
+			j := pending[i]
+			key := runKey{j.Mix.Name, j.Policy, workload.FormatServiceClasses(j.Classes)}
+			l.mu.Lock()
+			l.runs[key] = o.Value
+			l.mu.Unlock()
 		}
-		// Keys are "mix/policy/classes"; resumed runs re-enter the cache under
-		// the same triple.
-		mixName, rest, ok := splitKey(o.Job.Key)
-		if !ok {
-			continue
-		}
-		pol, cls, _ := splitKey(rest)
-		l.mu.Lock()
-		l.runs[runKey{mixName, pol, cls}] = o.Value
-		l.mu.Unlock()
 	}
 	if err != nil {
 		return err
@@ -502,12 +453,12 @@ func (l *Lab) PrimeClassedContext(ctx context.Context, jobs []ClassedJob) error 
 	return runner.FirstError(outs)
 }
 
-// splitKey undoes the "mix/policy" key format of PrimeContext.
-func splitKey(key string) (mix, policy string, ok bool) {
-	for i := 0; i < len(key); i++ {
-		if key[i] == '/' {
-			return key[:i], key[i+1:], true
-		}
+// checkpointKey names an evaluation in a checkpoint: "mix/policy" for a
+// classless run and "mix/policy/classes" for a classed one, so checkpoints
+// written before classed runs existed still resume.
+func checkpointKey(mix, policy, classes string) string {
+	if classes == "" {
+		return mix + "/" + policy
 	}
-	return key, "", false
+	return mix + "/" + policy + "/" + classes
 }

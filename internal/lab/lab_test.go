@@ -233,7 +233,7 @@ func TestMixVectorsShape(t *testing.T) {
 func TestRunReplicated(t *testing.T) {
 	l := testLab()
 	mix, _ := workload.MixByName("2MEM-1")
-	rep, err := l.RunReplicated(mix, "me-lreq", 3)
+	rep, err := l.RunReplicated(context.Background(), mix, "me-lreq", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestRunReplicated(t *testing.T) {
 	if rep.Mean < lo || rep.Mean > hi {
 		t.Fatalf("mean %v outside [%v, %v]", rep.Mean, lo, hi)
 	}
-	if _, err := l.RunReplicated(mix, "me-lreq", 0); err == nil {
+	if _, err := l.RunReplicated(context.Background(), mix, "me-lreq", 0); err == nil {
 		t.Fatal("zero replicas accepted")
 	}
 }
@@ -271,12 +271,38 @@ func TestRunReplicated(t *testing.T) {
 func TestRunReplicatedSingle(t *testing.T) {
 	l := testLab()
 	mix, _ := workload.MixByName("2MEM-1")
-	rep, err := l.RunReplicated(mix, "hf-rf", 1)
+	rep, err := l.RunReplicated(context.Background(), mix, "hf-rf", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.StdDev != 0 {
 		t.Fatalf("single replica stddev = %v", rep.StdDev)
+	}
+}
+
+// TestRunReplicatedCancellation checks that the replica loop honours its
+// context: with the mix's profiles already cached, a cancelled context fails
+// with context.Canceled before any replica completes.
+func TestRunReplicatedCancellation(t *testing.T) {
+	l := testLab()
+	mix, _ := workload.MixByName("2MEM-1")
+	if _, _, err := l.MixVectors(mix); err != nil {
+		t.Fatal(err)
+	}
+	replicas := 0
+	l.opts.Logf = func(format string, _ ...any) {
+		if strings.Contains(format, "replica") {
+			replicas++
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := l.RunReplicated(ctx, mix, "me-lreq", 3)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunReplicated on cancelled ctx = %v, want context.Canceled", err)
+	}
+	if replicas != 0 {
+		t.Fatalf("%d replicas completed after cancellation, want 0", replicas)
 	}
 }
 

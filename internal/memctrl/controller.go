@@ -9,24 +9,26 @@ import (
 	"memsched/internal/xrand"
 )
 
-// CoreStats aggregates per-core controller-side statistics.
+// CoreStats aggregates per-core controller-side statistics. Every field is
+// an integer, so the statistics are bitwise identical across the naive and
+// cycle-skipping run loops, and every mean derived from them is one division
+// done at the end of a run.
 type CoreStats struct {
-	ReadsCompleted  uint64
-	WritesRetired   uint64
-	ReadLatency     stats.Running // controller admission -> data returned, cycles
-	ReadLatencyHist stats.Histogram
-	// LatHist is the deterministic log-spaced read-latency histogram: exact
-	// integer counts, fixed preallocated buckets (the array is part of the
-	// struct), observed once per read completion. Unlike ReadLatencyHist's
-	// power-of-two buckets it reconstructs p50/p95/p99/p99.9 to within one
-	// bucket width (<= 12.5% relative), and being all-integer it is bitwise
-	// identical across the naive and cycle-skipping run loops.
+	ReadsCompleted uint64
+	WritesRetired  uint64
+	// ReadsIssued counts this core's reads sent to DRAM, and QueueDelaySum
+	// adds up their admission -> issue cycles: the component scheduling
+	// policies actually change.
+	ReadsIssued   uint64
+	QueueDelaySum uint64
+	// ServiceSum adds up the issue -> data returned cycles (DRAM timing plus
+	// controller overhead) of the ReadsCompleted reads.
+	ServiceSum uint64
+	// LatHist holds every completed read's admission -> data returned
+	// latency: its exact sum and count give the mean, and its log-spaced
+	// buckets the percentiles, to within one bucket width (<= 12.5%
+	// relative).
 	LatHist stats.LatencyHist
-	// QueueDelay is admission -> issue: the component scheduling policies
-	// actually change. ServiceTime is issue -> data returned (DRAM timing
-	// plus controller overhead).
-	QueueDelay  stats.Running
-	ServiceTime stats.Running
 }
 
 // bankQueues holds one (channel, bank)'s read and write FIFOs.
@@ -94,11 +96,11 @@ type Controller struct {
 	core []CoreStats
 
 	// aggregate counters
-	readsIssued   stats.Counter
-	writesIssued  stats.Counter
-	drainEntries  stats.Counter
-	enqueueFailRd stats.Counter
-	enqueueFailWr stats.Counter
+	readsIssued   uint64
+	writesIssued  uint64
+	drainEntries  uint64
+	enqueueFailRd uint64
+	enqueueFailWr uint64
 	bytesRead     uint64
 	bytesWritten  uint64
 	// readQSum and writeQSum add up the queue depths of every cycle, ticked
@@ -218,19 +220,19 @@ func (mc *Controller) SetLatencyCritical(lc []bool) error {
 func (mc *Controller) LatencyCritical(core int) bool { return mc.lc[core] }
 
 // ReadsIssued returns the number of read transactions issued to DRAM.
-func (mc *Controller) ReadsIssued() uint64 { return mc.readsIssued.Value() }
+func (mc *Controller) ReadsIssued() uint64 { return mc.readsIssued }
 
 // WritesIssued returns the number of write transactions issued to DRAM.
-func (mc *Controller) WritesIssued() uint64 { return mc.writesIssued.Value() }
+func (mc *Controller) WritesIssued() uint64 { return mc.writesIssued }
 
 // DrainEntries returns how many times write-drain mode was entered.
-func (mc *Controller) DrainEntries() uint64 { return mc.drainEntries.Value() }
+func (mc *Controller) DrainEntries() uint64 { return mc.drainEntries }
 
 // RejectedReads returns how many read admissions failed on a full buffer.
-func (mc *Controller) RejectedReads() uint64 { return mc.enqueueFailRd.Value() }
+func (mc *Controller) RejectedReads() uint64 { return mc.enqueueFailRd }
 
 // RejectedWrites returns how many write admissions failed on a full buffer.
-func (mc *Controller) RejectedWrites() uint64 { return mc.enqueueFailWr.Value() }
+func (mc *Controller) RejectedWrites() uint64 { return mc.enqueueFailWr }
 
 // QueueOccupancy returns the mean per-cycle (read, write) queue depths.
 func (mc *Controller) QueueOccupancy() (read, write float64) {
@@ -254,11 +256,8 @@ func (mc *Controller) ResetStats() {
 	for i := range mc.core {
 		mc.core[i] = CoreStats{}
 	}
-	mc.readsIssued.Reset()
-	mc.writesIssued.Reset()
-	mc.drainEntries.Reset()
-	mc.enqueueFailRd.Reset()
-	mc.enqueueFailWr.Reset()
+	mc.readsIssued, mc.writesIssued, mc.drainEntries = 0, 0, 0
+	mc.enqueueFailRd, mc.enqueueFailWr = 0, 0
 	mc.bytesRead, mc.bytesWritten = 0, 0
 	mc.readQSum, mc.writeQSum, mc.occCycles = 0, 0, 0
 }
@@ -303,7 +302,7 @@ func (mc *Controller) EnqueueReadSink(sink ReadSink, core int, line uint64, now 
 func (mc *Controller) enqueueRead(core int, line uint64, now int64, onComplete func(int64), sink ReadSink) bool {
 	if mc.readLen >= mc.cfg.Memory.ReadQueueCap ||
 		mc.pendingReads[core] >= mc.cfg.Memory.MaxPendingPerCore {
-		mc.enqueueFailRd.Inc()
+		mc.enqueueFailRd++
 		return false
 	}
 	r := mc.alloc()
@@ -330,7 +329,7 @@ func (mc *Controller) enqueueRead(core int, line uint64, now int64, onComplete f
 // full; the caller must retry.
 func (mc *Controller) EnqueueWrite(core int, line uint64, now int64) bool {
 	if mc.writeLen >= mc.cfg.Memory.WriteQueueCap {
-		mc.enqueueFailWr.Inc()
+		mc.enqueueFailWr++
 		return false
 	}
 	r := mc.alloc()
@@ -382,7 +381,7 @@ func (mc *Controller) Tick(now int64) {
 }
 
 // runCompletions fires every read-data return due at or before now, in
-// (time, issue order) — the same stable order the event queue used.
+// (time, issue order).
 func (mc *Controller) runCompletions(now int64) {
 	for len(mc.comp) > 0 && mc.comp[0].at <= now {
 		c := mc.comp.pop()
@@ -391,11 +390,8 @@ func (mc *Controller) runCompletions(now int64) {
 		mc.pendingReads[r.Core]--
 		cs := &mc.core[r.Core]
 		cs.ReadsCompleted++
-		lat := c.at - r.Arrive
-		cs.ReadLatency.Observe(float64(lat))
-		cs.ReadLatencyHist.Observe(lat)
-		cs.LatHist.Observe(lat)
-		cs.ServiceTime.Observe(float64(c.at - c.issuedAt))
+		cs.LatHist.Observe(c.at - r.Arrive)
+		cs.ServiceSum += uint64(c.at - c.issuedAt)
 		cb, sink := r.OnComplete, r.sink
 		core, line := r.Core, r.Line
 		mc.release(r)
@@ -427,7 +423,7 @@ func (mc *Controller) WriteQueueFull() bool {
 // the k per-cycle EnqueueWrite failures a skipped quiescent stretch would
 // have recorded.
 func (mc *Controller) AbsorbRejectedWrites(k uint64) {
-	mc.enqueueFailWr.Add(k)
+	mc.enqueueFailWr += k
 }
 
 // NextEventAt implements the simulator's next-event time-advance contract.
@@ -479,7 +475,7 @@ func (mc *Controller) AbsorbStall(k int64) {
 func (mc *Controller) updateDrain(now int64) {
 	if !mc.draining && mc.writeLen >= mc.drainHigh {
 		mc.draining = true
-		mc.drainEntries.Inc()
+		mc.drainEntries++
 		if mc.drainObs != nil {
 			mc.drainObs(now, true)
 		}
@@ -559,9 +555,11 @@ func (mc *Controller) tryIssue(chIdx int, now int64) {
 
 	lineBytes := uint64(mc.cfg.L2.LineBytes)
 	if req.Kind == Read {
-		mc.readsIssued.Inc()
+		mc.readsIssued++
 		mc.bytesRead += lineBytes
-		mc.core[req.Core].QueueDelay.Observe(float64(now - req.Arrive))
+		cs := &mc.core[req.Core]
+		cs.ReadsIssued++
+		cs.QueueDelaySum += uint64(now - req.Arrive)
 		mc.comp.push(completion{
 			at:       res.DataDone + mc.ctrlOverhead,
 			seq:      mc.compSeq,
@@ -570,7 +568,7 @@ func (mc *Controller) tryIssue(chIdx int, now int64) {
 		})
 		mc.compSeq++
 	} else {
-		mc.writesIssued.Inc()
+		mc.writesIssued++
 		mc.bytesWritten += lineBytes
 		mc.pendingWrites[req.Core]--
 		mc.core[req.Core].WritesRetired++
@@ -771,11 +769,12 @@ func (mc *Controller) remove(req *Request) {
 }
 
 // AverageReadLatency returns the mean read latency in cycles across all
-// cores, weighted by request count.
+// cores, weighted by request count: the latency sum of every core's reads
+// over their count.
 func (mc *Controller) AverageReadLatency() float64 {
-	var merged stats.Running
+	var all stats.LatencyHist
 	for i := range mc.core {
-		merged.Merge(&mc.core[i].ReadLatency)
+		all.Merge(&mc.core[i].LatHist)
 	}
-	return merged.Mean()
+	return all.Mean()
 }

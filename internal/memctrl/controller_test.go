@@ -75,8 +75,8 @@ func TestReadCompletesWithExpectedLatency(t *testing.T) {
 		t.Fatalf("ReadsIssued = %d", mc.ReadsIssued())
 	}
 	cs := mc.CoreStatsOf(0)
-	if cs.ReadsCompleted != 1 || cs.ReadLatency.Mean() != 144 {
-		t.Fatalf("core stats = %d completed, mean %v", cs.ReadsCompleted, cs.ReadLatency.Mean())
+	if cs.ReadsCompleted != 1 || cs.LatHist.Mean() != 144 {
+		t.Fatalf("core stats = %d completed, mean %v", cs.ReadsCompleted, cs.LatHist.Mean())
 	}
 }
 
@@ -277,8 +277,8 @@ func TestAverageReadLatencyWeighted(t *testing.T) {
 	if avg <= 0 {
 		t.Fatalf("AverageReadLatency = %v", avg)
 	}
-	a := mc.CoreStatsOf(0).ReadLatency.Mean()
-	b := mc.CoreStatsOf(1).ReadLatency.Mean()
+	a := mc.CoreStatsOf(0).LatHist.Mean()
+	b := mc.CoreStatsOf(1).LatHist.Mean()
 	if avg < minF(a, b) || avg > maxF(a, b) {
 		t.Fatalf("avg %v outside per-core means [%v, %v]", avg, minF(a, b), maxF(a, b))
 	}
@@ -402,22 +402,32 @@ func TestDecisionTrace(t *testing.T) {
 func TestLatencyDecomposition(t *testing.T) {
 	mc, _, _ := newController(t, 1, "hf-rf", nil)
 	done := 0
+	// Both reads arrive at cycle 0, so each one's latency is its completion
+	// cycle.
+	var latSum uint64
+	onDone := func(at int64) {
+		done++
+		latSum += uint64(at)
+	}
 	// Two same-bank different-row reads: the second queues behind the first.
-	mc.EnqueueRead(0, 0, 0, func(int64) { done++ })
-	mc.EnqueueRead(0, 16*128, 0, func(int64) { done++ })
+	mc.EnqueueRead(0, 0, 0, onDone)
+	mc.EnqueueRead(0, 16*128, 0, onDone)
 	runUntil(mc, 0, func() bool { return done == 2 }, 100000)
 	cs := mc.CoreStatsOf(0)
-	if cs.QueueDelay.N() != 2 || cs.ServiceTime.N() != 2 {
-		t.Fatalf("decomposition samples: %d/%d", cs.QueueDelay.N(), cs.ServiceTime.N())
+	if cs.ReadsIssued != 2 || cs.ReadsCompleted != 2 || cs.LatHist.N() != 2 {
+		t.Fatalf("decomposition samples: %d issued, %d completed, %d latencies",
+			cs.ReadsIssued, cs.ReadsCompleted, cs.LatHist.N())
 	}
-	// The second request waited; queue delay must be nonzero on average.
-	if cs.QueueDelay.Max() <= 0 {
+	// The second request waited, so the queue delays add up to more than 0.
+	if cs.QueueDelaySum == 0 {
 		t.Fatal("no queueing delay recorded for a blocked request")
 	}
-	// Queue + service ~= total latency (exact for each request).
-	total := cs.ReadLatency.Mean()
-	if sum := cs.QueueDelay.Mean() + cs.ServiceTime.Mean(); sum < total-0.01 || sum > total+0.01 {
-		t.Fatalf("queue %.1f + service %.1f != latency %.1f",
-			cs.QueueDelay.Mean(), cs.ServiceTime.Mean(), total)
+	// Queue delay + service time is each read's latency, exactly.
+	if sum := cs.QueueDelaySum + cs.ServiceSum; sum != latSum {
+		t.Fatalf("queue %d + service %d = %d, want the latency sum %d",
+			cs.QueueDelaySum, cs.ServiceSum, sum, latSum)
+	}
+	if got := cs.LatHist.Mean() * 2; got != float64(latSum) {
+		t.Fatalf("latency histogram sum %v, want %d", got, latSum)
 	}
 }

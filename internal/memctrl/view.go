@@ -40,9 +40,9 @@ type IndexedPolicy interface {
 }
 
 // completion is one in-flight read whose data return is scheduled. The
-// controller keeps completions in a typed min-heap ordered by (at, seq) —
-// the same stable order event.Queue guarantees — instead of scheduling
-// closures, so the steady-state hot path allocates nothing per request.
+// controller keeps completions in a typed min-heap ordered by (at, seq), a
+// stable order, instead of scheduling closures, so the steady-state hot path
+// allocates nothing per request.
 type completion struct {
 	at       int64
 	seq      uint64

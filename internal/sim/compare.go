@@ -15,9 +15,9 @@ import (
 // This is the acceptance contract of the quiescence-aware run loop: a run
 // with cycle skipping must diff clean against the same run with NoCycleSkip
 // at floatTol 0, and against the golden fixtures. The fixtures need a float
-// tolerance only because they were recorded when per-cycle queue depths were
-// averaged with Welford's algorithm, whose means differ from today's exact
-// integer ratios in the last bits.
+// tolerance only because they were recorded when per-cycle queue depths and
+// read-latency means were averaged with Welford's algorithm, whose means
+// differ from today's exact integer ratios in the last bits.
 func DiffResults(got, want Result, floatTol float64) []string {
 	var diffs []string
 	diffValues("", reflect.ValueOf(got), reflect.ValueOf(want), floatTol, &diffs)

@@ -24,8 +24,9 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden equivalence
 
 // goldenFloatTol is the relative tolerance for float fields. Integer fields
 // must stay byte-identical; floats may drift at this scale because the
-// fixtures hold mean queue depths computed with Welford's algorithm, which
-// today's exact integer ratios match only to the last few bits. Comparison
+// fixtures hold mean queue depths and read-latency means computed with
+// Welford's algorithm, which today's exact integer ratios match only to the
+// last few bits (at most 3e-14 relative). Comparison
 // goes through sim.DiffResults, which also exempts SkippedCycles (the
 // fixtures predate the field, and it describes the run loop, not the
 // simulated machine).

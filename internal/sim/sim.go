@@ -100,8 +100,9 @@ type CoreResult struct {
 	// (issue -> data).
 	AvgQueueDelay  float64
 	AvgServiceTime float64
-	// P95ReadLatency is an upper bound on the 95th-percentile read latency
-	// (power-of-two histogram buckets).
+	// P95ReadLatency is an upper bound on the 95th-percentile read latency:
+	// the exclusive power-of-two bound of the range holding it
+	// (stats.LatencyHist.OctaveBound), so within 2x.
 	P95ReadLatency int64
 	// Service is the serving class (LC/BE) assigned to this core's
 	// application; BE unless Options.Classes said otherwise.
@@ -488,16 +489,7 @@ func (s *System) RunContext(ctx context.Context, instrPerCore uint64, maxCycles 
 		Ranks:       s.cfg.Memory.Channels * s.cfg.Memory.RanksPerChan,
 		Cycles:      res.TotalCycles,
 	}, s.cfg.Core.FreqGHz)
-	var latSum float64
-	var latN uint64
-	for i := range res.Cores {
-		cs := s.mc.CoreStatsOf(i)
-		latSum += cs.ReadLatency.Mean() * float64(cs.ReadLatency.N())
-		latN += cs.ReadLatency.N()
-	}
-	if latN > 0 {
-		res.AvgReadLatency = latSum / float64(latN)
-	}
+	res.AvgReadLatency = s.mc.AverageReadLatency()
 	for cls := range res.ClassLat {
 		c := workload.ServiceClass(cls)
 		h := s.ClassLatencyHist(c)
@@ -682,19 +674,19 @@ func (s *System) freeze(i int, cycles int64, target uint64, cpuBase *cpu.Stats, 
 	out.IPC = float64(target) / float64(cycles)
 	out.MemReads = mcs.ReadsCompleted
 	out.MemWrites = mcs.WritesRetired
-	out.AvgReadLatency = mcs.ReadLatency.Mean()
-	out.AvgQueueDelay = mcs.QueueDelay.Mean()
-	out.AvgServiceTime = mcs.ServiceTime.Mean()
-	out.P95ReadLatency = mcs.ReadLatencyHist.Quantile(0.95)
+	out.AvgQueueDelay = mean(mcs.QueueDelaySum, mcs.ReadsIssued)
+	out.AvgServiceTime = mean(mcs.ServiceSum, mcs.ReadsCompleted)
 	out.Service = s.serviceClass(i)
 	// Capture the log-spaced histogram at the core's own freeze point; the
 	// copy also feeds the per-class merge after the last core commits.
 	s.frozenLat[i] = mcs.LatHist
+	out.AvgReadLatency = s.frozenLat[i].Mean()
+	out.P95ReadLatency = s.frozenLat[i].OctaveBound(0.95)
 	out.ReadLatencyP50 = s.frozenLat[i].Quantile(0.50)
 	out.ReadLatencyP95 = s.frozenLat[i].Quantile(0.95)
 	out.ReadLatencyP99 = s.frozenLat[i].Quantile(0.99)
 	out.ReadLatencyP999 = s.frozenLat[i].Quantile(0.999)
-	out.L2MissesPerKI = float64(hcs.L2Misses.Value()) * 1000 / float64(target)
+	out.L2MissesPerKI = float64(hcs.L2Misses) * 1000 / float64(target)
 	cur := s.cores[i].Stats()
 	if dCycles := cur.Cycles - cpuBase.Cycles; dCycles > 0 {
 		out.RetireStallPct = float64(cur.RetireStalls-cpuBase.RetireStalls) / float64(dCycles)
@@ -706,6 +698,14 @@ func (s *System) freeze(i int, cycles int64, target uint64, cpuBase *cpu.Stats, 
 	if ns > 0 {
 		out.BandwidthGBs = bytes / ns // bytes per ns == GB/s
 	}
+}
+
+// mean returns sum/n, or 0 with no samples.
+func mean(sum, n uint64) float64 {
+	if n == 0 {
+		return 0
+	}
+	return float64(sum) / float64(n)
 }
 
 // Profile holds one application's single-core profiling outcome

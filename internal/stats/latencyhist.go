@@ -1,3 +1,10 @@
+// Package stats holds LatencyHist, the integer latency histogram the
+// simulator records every memory read's latency in. Every latency figure of
+// a result (means, percentiles, per-class splits) is derived from it at the
+// end of a run.
+//
+// The hot path (one update per simulated read) must not allocate, so the
+// histogram is a plain struct updated in place.
 package stats
 
 import (
@@ -101,6 +108,36 @@ func (h *LatencyHist) Quantile(q float64) int64 {
 	if h.n == 0 {
 		return 0
 	}
+	_, hi := latBucketBounds(h.rankBucket(q))
+	return hi
+}
+
+// octaveRanges is the number of power-of-two ranges OctaveBound reports in:
+// range 0 is [0, 2), range b is [2^b, 2^(b+1)), and the last range holds
+// every value from 2^(octaveRanges-1) up.
+const octaveRanges = 40
+
+// OctaveBound returns the exclusive upper bound 2^(b+1) of the power-of-two
+// range b that holds the sample of rank ceil(q*N), or 0 with no samples; the
+// last range's bound is 2^octaveRanges. Every bucket lies inside one such
+// range, so this is exactly what a histogram with power-of-two buckets
+// reports for the same samples: an upper bound within 2x of the true
+// quantile, where Quantile's is within one bucket width.
+func (h *LatencyHist) OctaveBound(q float64) int64 {
+	if h.n == 0 {
+		return 0
+	}
+	lo, _ := latBucketBounds(h.rankBucket(q))
+	// bits.Len64(lo) is b+1 for lo in [2^b, 2^(b+1)) and 0 for lo = 0, which
+	// shares range 0 with 1. Clamp before shifting: buckets reach 2^63, where
+	// the shift would wrap.
+	r := min(max(bits.Len64(uint64(lo)), 1), octaveRanges)
+	return int64(1) << uint(r)
+}
+
+// rankBucket returns the index of the bucket holding the sample of rank
+// ceil(q*N), clamped to [1, N]; h must hold samples.
+func (h *LatencyHist) rankBucket(q float64) int {
 	target := uint64(math.Ceil(q * float64(h.n)))
 	if target == 0 {
 		target = 1
@@ -112,11 +149,10 @@ func (h *LatencyHist) Quantile(q float64) int64 {
 	for i := range h.counts {
 		cum += h.counts[i]
 		if cum >= target {
-			_, hi := latBucketBounds(i)
-			return hi
+			return i
 		}
 	}
-	return h.max // unreachable: cum reaches n
+	return len(h.counts) - 1 // unreachable: cum reaches n
 }
 
 // CountAtOrBelow returns how many samples certainly have value <= v: the

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -149,6 +150,101 @@ func TestSubInvertsMerge(t *testing.T) {
 	}
 }
 
+// pow2Hist is the power-of-two read-latency histogram OctaveBound replaced,
+// kept as an independent reference: bucket i holds samples in [2^i, 2^(i+1)),
+// bucket 0 holds [0, 2) and the last bucket everything from 2^39 up.
+type pow2Hist struct {
+	buckets [40]uint64
+	n       uint64
+}
+
+func (h *pow2Hist) Observe(v int64) {
+	if v < 0 {
+		v = 0
+	}
+	b := 0
+	for x := v; x >= 2 && b < len(h.buckets)-1; x >>= 1 {
+		b++
+	}
+	h.buckets[b]++
+	h.n++
+}
+
+// Quantile returns the exclusive upper bound of the bucket holding the
+// rank-ceil(q*n) sample.
+func (h *pow2Hist) Quantile(q float64) int64 {
+	if h.n == 0 {
+		return 0
+	}
+	target := uint64(math.Ceil(q * float64(h.n)))
+	if target == 0 {
+		target = 1
+	}
+	var cum uint64
+	for i, c := range h.buckets {
+		cum += c
+		if cum >= target {
+			return int64(1) << uint(i+1)
+		}
+	}
+	return int64(1) << uint(len(h.buckets))
+}
+
+// octaveEdges are the samples where a power-of-two bound can go wrong: the
+// clamp of negatives, the shared range [0, 2), both sides of every power of
+// two, the last range's floor 2^39 and the buckets above 2^62, where an
+// unclamped shift wraps.
+func octaveEdges() []int64 {
+	vs := []int64{-5, 0, 1, 2, 3, 1<<39 - 1, 1 << 39, 1 << 40, 1<<62 + 5, math.MaxInt64}
+	for k := 2; k < 63; k++ {
+		vs = append(vs, int64(1)<<k-1, int64(1)<<k, int64(1)<<k+1)
+	}
+	return vs
+}
+
+// TestOctaveBoundMatchesPow2Reference checks that OctaveBound reports what
+// the power-of-two histogram reported for every stream and quantile: each
+// LatencyHist bucket lies inside one power-of-two range, so the rank-q
+// sample's range, and with it the bound, is the same in both.
+func TestOctaveBoundMatchesPow2Reference(t *testing.T) {
+	edges := octaveEdges()
+	property := func(stream latencyStream, picks []uint8) bool {
+		for _, p := range picks {
+			stream = append(stream, edges[int(p)%len(edges)])
+		}
+		var h LatencyHist
+		var ref pow2Hist
+		for _, v := range stream {
+			h.Observe(v)
+			ref.Observe(v)
+		}
+		for _, q := range []float64{0, 0.01, 0.5, 0.95, 0.99, 0.999, 1} {
+			if got, want := h.OctaveBound(q), ref.Quantile(q); got != want {
+				t.Logf("q=%v: OctaveBound %d, power-of-two reference %d, n=%d", q, got, want, len(stream))
+				return false
+			}
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 500, Values: func(args []reflect.Value, r *rand.Rand) {
+		args[0] = reflect.ValueOf(latencyStream{}.Generate(r, 10))
+		picks := make([]uint8, r.Intn(2*len(edges)))
+		for i := range picks {
+			picks[i] = uint8(r.Intn(256))
+		}
+		args[1] = reflect.ValueOf(picks)
+	}}
+	if err := quick.Check(property, cfg); err != nil {
+		t.Fatal(err)
+	}
+	// Each edge alone, so every range's bound is checked at every quantile.
+	for _, v := range edges {
+		if !property(latencyStream{v}, nil) {
+			t.Fatalf("single sample %d", v)
+		}
+	}
+}
+
 // TestLatBucketEdges pins the index function at its boundary values: unit
 // buckets, octave boundaries, negatives and the int64 extremes all map to
 // in-range buckets whose bounds bracket the value.
@@ -186,7 +282,7 @@ func TestLatBucketEdges(t *testing.T) {
 // TestLatencyHistBasics pins clamping, mean, max and CountAtOrBelow.
 func TestLatencyHistBasics(t *testing.T) {
 	var h LatencyHist
-	if h.Quantile(0.99) != 0 || h.Mean() != 0 || h.Max() != 0 {
+	if h.Quantile(0.99) != 0 || h.OctaveBound(0.95) != 0 || h.Mean() != 0 || h.Max() != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
 	for _, v := range []int64{-5, 0, 3, 7, 100} {

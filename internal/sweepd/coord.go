@@ -22,7 +22,9 @@ import (
 // v3: for an unchanged spec, SkippedCycles grew (parked L2 requests no
 // longer block skips) and the mean queue depths changed in their last bits
 // (exact integer ratios instead of running means).
-const cacheMeta = "sweepd result cache v3"
+// v4: for an unchanged spec, the read-latency means changed in their last
+// bits (integer sums over counts instead of running means).
+const cacheMeta = "sweepd result cache v4"
 
 // DefaultShards is the coordinator state shard count selected by
 // CoordinatorConfig.Shards == 0. Sharding is cheap (a mutex, three maps and a
