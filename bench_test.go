@@ -268,7 +268,7 @@ func BenchmarkAblationQuantization(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := sys.Run(benchSlice, 0)
+		res, err := sys.RunContext(context.Background(), benchSlice, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -301,14 +301,11 @@ func BenchmarkSweepMatrix(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l := lab.New(lab.Options{Instr: benchSlice, ProfInstr: benchSlice, Workers: 0})
-		if err := l.Prime(mixes, policies); err != nil {
-			b.Fatal(err)
-		}
-		out, err := l.Run(mixes[0], "me-lreq")
+		runs, err := l.Grid(context.Background(), mixes, policies)
 		if err != nil {
 			b.Fatal(err)
 		}
-		speedup = out.Speedup
+		speedup = runs[0][2].Speedup
 	}
 	b.StopTimer()
 	b.ReportMetric(speedup, "speedup-me-lreq")

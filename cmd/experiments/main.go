@@ -208,7 +208,7 @@ func table2(ctx context.Context, l *lab.Lab) error {
 		"Table 2: application class and memory efficiency (measured vs paper)",
 		"app", "code", "IPC", "BW GB/s", "mem/KI", "ME meas", "ME paper", "perf gain", "class meas", "class paper")
 	for _, a := range workload.Apps() {
-		p, err := l.ProfileContext(ctx, a.Code)
+		p, err := l.Profile(ctx, a.Code)
 		if err != nil {
 			return err
 		}
@@ -244,82 +244,75 @@ func table3(context.Context, *lab.Lab) error {
 	return nil
 }
 
-// figure2 sweeps all mixes and policies and reports SMT speedups.
+// figure2 sweeps all mixes and policies and reports SMT speedups, with an
+// average row per core count and group (MEM, MIX).
 func figure2(ctx context.Context, l *lab.Lab) error {
 	policies := figure2Policies
 	if *onlineFlag {
 		policies = append(append([]string{}, policies...), lab.OnlinePolicy)
 	}
-	var allMixes []workload.Mix
+	var mixes []workload.Mix
 	for _, cores := range []int{2, 4, 8} {
-		allMixes = append(allMixes, workload.MixesFor(cores, "")...)
+		mixes = append(mixes, workload.MixesFor(cores, "")...)
 	}
-	if err := l.PrimeContext(ctx, allMixes, policies); err != nil {
+	runs, err := l.Grid(ctx, mixes, policies)
+	if err != nil {
 		return err
 	}
 
-	headers := append([]string{"workload"}, policies...)
-	headers = append(headers, "ME-LREQ vs HF-RF", "ME-LREQ vs LREQ")
+	col := map[string]int{}
+	for j, pol := range policies {
+		col[pol] = j
+	}
+	gains := func(v []float64) []string {
+		return []string{
+			report.Pct(metrics.RelativeGain(v[col["me-lreq"]], v[col["hf-rf"]])),
+			report.Pct(metrics.RelativeGain(v[col["me-lreq"]], v[col["lreq"]]))}
+	}
+	headers := append(append([]string{"workload"}, policies...), "ME-LREQ vs HF-RF", "ME-LREQ vs LREQ")
 	t := report.NewTable("Figure 2: SMT speedup by scheduling policy", headers...)
-
 	type key struct {
 		cores int
 		group string
 	}
-	sums := map[key]map[string]float64{}
+	// MixesFor lists each core count's MEM mixes before its MIX mixes, so
+	// the groups are first seen in average-row order.
+	var groups []key
+	sums := map[key][]float64{}
 	counts := map[key]int{}
-	for _, cores := range []int{2, 4, 8} {
-		for _, group := range []string{"MEM", "MIX"} {
-			for _, mix := range workload.MixesFor(cores, group) {
-				row := []string{mix.Name}
-				byPolicy := map[string]float64{}
-				for _, pol := range policies {
-					out, err := l.RunContext(ctx, mix, pol)
-					if err != nil {
-						return err
-					}
-					byPolicy[pol] = out.Speedup
-					row = append(row, fmt.Sprintf("%.3f", out.Speedup))
-				}
-				row = append(row,
-					report.Pct(metrics.RelativeGain(byPolicy["me-lreq"], byPolicy["hf-rf"])),
-					report.Pct(metrics.RelativeGain(byPolicy["me-lreq"], byPolicy["lreq"])))
-				t.AddRow(row...)
-				k := key{cores, group}
-				if sums[k] == nil {
-					sums[k] = map[string]float64{}
-				}
-				for p, v := range byPolicy {
-					sums[k][p] += v
-				}
-				counts[k]++
-			}
+	for i, mix := range mixes {
+		k := key{mix.Cores(), "MIX"}
+		if strings.Contains(mix.Name, "MEM") {
+			k.group = "MEM"
 		}
+		if counts[k] == 0 {
+			groups = append(groups, k)
+			sums[k] = make([]float64, len(policies))
+		}
+		counts[k]++
+		row := []string{mix.Name}
+		v := make([]float64, len(policies))
+		for j, out := range runs[i] {
+			v[j] = out.Speedup
+			sums[k][j] += out.Speedup
+			row = append(row, fmt.Sprintf("%.3f", out.Speedup))
+		}
+		t.AddRow(append(row, gains(v)...)...)
 	}
-	for _, cores := range []int{2, 4, 8} {
-		for _, group := range []string{"MEM", "MIX"} {
-			k := key{cores, group}
-			if counts[k] == 0 {
-				continue
-			}
-			row := []string{fmt.Sprintf("avg %d%s", cores, group)}
-			n := float64(counts[k])
-			for _, pol := range policies {
-				row = append(row, fmt.Sprintf("%.3f", sums[k][pol]/n))
-			}
-			row = append(row,
-				report.Pct(metrics.RelativeGain(sums[k]["me-lreq"], sums[k]["hf-rf"])),
-				report.Pct(metrics.RelativeGain(sums[k]["me-lreq"], sums[k]["lreq"])))
-			t.AddRow(row...)
+	for _, k := range groups {
+		row := []string{fmt.Sprintf("avg %d%s", k.cores, k.group)}
+		for _, sum := range sums[k] {
+			row = append(row, fmt.Sprintf("%.3f", sum/float64(counts[k])))
 		}
+		t.AddRow(append(row, gains(sums[k])...)...)
 	}
 	emit(t, "fig2")
 
 	chart := report.NewChart("Figure 2 (chart): average SMT speedup, 8-core MEM workloads", 40)
 	k8 := key{8, "MEM"}
 	if counts[k8] > 0 {
-		for _, pol := range policies {
-			chart.Add(pol, sums[k8][pol]/float64(counts[k8]))
+		for j, pol := range policies {
+			chart.Add(pol, sums[k8][j]/float64(counts[k8]))
 		}
 		if err := chart.WriteText(os.Stdout); err != nil {
 			return err
@@ -329,29 +322,50 @@ func figure2(ctx context.Context, l *lab.Lab) error {
 	return nil
 }
 
+// grid prints one row per mix with value(mix, policy, run) in each policy's
+// column, formatted by cell, and returns the column means; with average set
+// it also prints the means as a final "average" row.
+func grid(ctx context.Context, l *lab.Lab, title, csvName string, mixes []workload.Mix,
+	policies []string, cell string, average bool,
+	value func(workload.Mix, string, lab.RunOut) (float64, error)) ([]float64, error) {
+	runs, err := l.Grid(ctx, mixes, policies)
+	if err != nil {
+		return nil, err
+	}
+	t := report.NewTable(title, append([]string{"workload"}, policies...)...)
+	means := make([]float64, len(policies))
+	for i, mix := range mixes {
+		row := []string{mix.Name}
+		for j, pol := range policies {
+			v, err := value(mix, pol, runs[i][j])
+			if err != nil {
+				return nil, err
+			}
+			means[j] += v
+			row = append(row, fmt.Sprintf(cell, v))
+		}
+		t.AddRow(row...)
+	}
+	row := []string{"average"}
+	for j := range means {
+		means[j] /= float64(len(mixes))
+		row = append(row, fmt.Sprintf(cell, means[j]))
+	}
+	if average {
+		t.AddRow(row...)
+	}
+	emit(t, csvName)
+	return means, nil
+}
+
+// speedup is the grid value of the SMT-speedup tables.
+func speedup(_ workload.Mix, _ string, out lab.RunOut) (float64, error) { return out.Speedup, nil }
+
 // figure3 compares fixed-priority orders on the 4-core platform.
 func figure3(ctx context.Context, l *lab.Lab) error {
-	policies := []string{"hf-rf", "me", "fix:3210", "fix:0123"}
-	if err := l.PrimeContext(ctx, workload.MixesFor(4, ""), policies); err != nil {
-		return err
-	}
-	headers := append([]string{"workload"}, policies...)
-	t := report.NewTable("Figure 3: simple and fixed priority schemes (4-core)", headers...)
-	for _, group := range []string{"MEM", "MIX"} {
-		for _, mix := range workload.MixesFor(4, group) {
-			row := []string{mix.Name}
-			for _, pol := range policies {
-				out, err := l.RunContext(ctx, mix, pol)
-				if err != nil {
-					return err
-				}
-				row = append(row, fmt.Sprintf("%.3f", out.Speedup))
-			}
-			t.AddRow(row...)
-		}
-	}
-	emit(t, "fig3")
-	return nil
+	_, err := grid(ctx, l, "Figure 3: simple and fixed priority schemes (4-core)", "fig3",
+		workload.MixesFor(4, ""), []string{"hf-rf", "me", "fix:3210", "fix:0123"}, "%.3f", false, speedup)
+	return err
 }
 
 // skipReport documents the quiescence-aware run loop: for one mix per core
@@ -369,7 +383,8 @@ func skipReport(ctx context.Context, l *lab.Lab) error {
 		}
 		mixes = append(mixes, mix)
 	}
-	if err := l.PrimeContext(ctx, mixes, policies); err != nil {
+	runs, err := l.Grid(ctx, mixes, policies)
+	if err != nil {
 		return err
 	}
 	var headers []string
@@ -378,16 +393,9 @@ func skipReport(ctx context.Context, l *lab.Lab) error {
 	}
 	t := report.NewTable("Cycle skipping: fraction of simulated cycles jumped by next-event advance",
 		append([]string{"workload", "total cycles"}, headers...)...)
-	for _, mix := range mixes {
-		var row []string
-		for _, pol := range policies {
-			out, err := l.RunContext(ctx, mix, pol)
-			if err != nil {
-				return err
-			}
-			if row == nil {
-				row = []string{mix.Name, fmt.Sprintf("%d", out.Result.TotalCycles)}
-			}
+	for i, mix := range mixes {
+		row := []string{mix.Name, fmt.Sprintf("%d", runs[i][0].Result.TotalCycles)}
+		for _, out := range runs[i] {
 			ratio := 0.0
 			if out.Result.TotalCycles > 0 {
 				ratio = float64(out.Result.SkippedCycles) / float64(out.Result.TotalCycles)
@@ -411,7 +419,7 @@ func telemetryReport(ctx context.Context, l *lab.Lab) error {
 	if err != nil {
 		return err
 	}
-	mes, _, err := l.MixVectorsContext(ctx, mix)
+	mes, _, err := l.MixVectors(ctx, mix)
 	if err != nil {
 		return err
 	}
@@ -456,68 +464,50 @@ func telemetryReport(ctx context.Context, l *lab.Lab) error {
 // figure4 reports average read latency per policy (left) and per-core read
 // latencies for 4MEM-1 and 4MEM-5 (right).
 func figure4(ctx context.Context, l *lab.Lab) error {
-	if err := l.PrimeContext(ctx, workload.MixesFor(4, "MEM"), figure2Policies); err != nil {
+	if _, err := grid(ctx, l, "Figure 4 (left): average memory read latency, 4-core MEM workloads (cycles)", "fig4",
+		workload.MixesFor(4, "MEM"), figure2Policies, "%.0f", false,
+		func(_ workload.Mix, _ string, out lab.RunOut) (float64, error) {
+			return out.Result.AvgReadLatency, nil
+		}); err != nil {
 		return err
 	}
-	t := report.NewTable("Figure 4 (left): average memory read latency, 4-core MEM workloads (cycles)",
-		append([]string{"workload"}, figure2Policies...)...)
 	perCore := report.NewTable("Figure 4 (right): per-core read latency (cycles)",
 		"workload", "policy", "core0", "core1", "core2", "core3")
-	for _, mix := range workload.MixesFor(4, "MEM") {
-		row := []string{mix.Name}
+	for _, name := range []string{"4MEM-1", "4MEM-5"} {
+		mix, err := workload.MixByName(name)
+		if err != nil {
+			return err
+		}
 		for _, pol := range figure2Policies {
-			out, err := l.RunContext(ctx, mix, pol)
+			out, err := l.Run(ctx, mix, pol)
 			if err != nil {
 				return err
 			}
-			row = append(row, fmt.Sprintf("%.0f", out.Result.AvgReadLatency))
-			if mix.Name == "4MEM-1" || mix.Name == "4MEM-5" {
-				pcRow := []string{mix.Name, pol}
-				for _, c := range out.Result.Cores {
-					pcRow = append(pcRow, fmt.Sprintf("%.0f", c.AvgReadLatency))
-				}
-				perCore.AddRow(pcRow...)
+			row := []string{mix.Name, pol}
+			for _, c := range out.Result.Cores {
+				row = append(row, fmt.Sprintf("%.0f", c.AvgReadLatency))
 			}
+			perCore.AddRow(row...)
 		}
-		t.AddRow(row...)
 	}
-	emit(t, "fig4")
 	emit(perCore, "fig4percore")
 	return nil
 }
 
 // figure5 reports unfairness (max slowdown / min slowdown).
 func figure5(ctx context.Context, l *lab.Lab) error {
-	if err := l.PrimeContext(ctx, workload.MixesFor(4, "MEM"), figure2Policies); err != nil {
+	means, err := grid(ctx, l, "Figure 5: unfairness (max/min slowdown), 4-core MEM workloads", "fig5",
+		workload.MixesFor(4, "MEM"), figure2Policies, "%.3f", true,
+		func(mix workload.Mix, pol string, _ lab.RunOut) (float64, error) {
+			f, err := l.Fairness(ctx, mix, pol)
+			return f.Unfairness, err
+		})
+	if err != nil {
 		return err
 	}
-	t := report.NewTable("Figure 5: unfairness (max/min slowdown), 4-core MEM workloads",
-		append([]string{"workload"}, figure2Policies...)...)
-	sums := map[string]float64{}
-	n := 0
-	for _, mix := range workload.MixesFor(4, "MEM") {
-		row := []string{mix.Name}
-		for _, pol := range figure2Policies {
-			u, err := l.Unfairness(mix, pol)
-			if err != nil {
-				return err
-			}
-			sums[pol] += u
-			row = append(row, fmt.Sprintf("%.3f", u))
-		}
-		n++
-		t.AddRow(row...)
-	}
-	avg := []string{"average"}
-	for _, pol := range figure2Policies {
-		avg = append(avg, fmt.Sprintf("%.3f", sums[pol]/float64(n)))
-	}
-	t.AddRow(avg...)
-	emit(t, "fig5")
-
 	chart := report.NewChart("Figure 5 (chart): average unfairness, 4-core MEM workloads (lower is fairer)", 40)
-	for _, pol := range figure2Policies {
-		chart.Add(pol, sums[pol]/float64(n))
+	for j, pol := range figure2Policies {
+		chart.Add(pol, means[j])
 	}
 	if err := chart.WriteText(os.Stdout); err != nil {
 		return err
@@ -531,33 +521,10 @@ func figure5(ctx context.Context, l *lab.Lab) error {
 // '07]) and against the online-ME variant, on the 4- and 8-core MEM
 // workloads — comparisons the paper discusses but does not run.
 func extended(ctx context.Context, l *lab.Lab) error {
-	policies := []string{"hf-rf", "lreq", "me-lreq", "fq", "burst", lab.OnlinePolicy}
-	mixes := append(workload.MixesFor(4, "MEM"), workload.MixesFor(8, "MEM")...)
-	if err := l.PrimeContext(ctx, mixes, policies); err != nil {
-		return err
-	}
-	headers := append([]string{"workload"}, policies...)
-	t := report.NewTable("Extended: ME-LREQ vs related-work schedulers (SMT speedup)", headers...)
-	sums := map[string]float64{}
-	for _, mix := range mixes {
-		row := []string{mix.Name}
-		for _, pol := range policies {
-			out, err := l.RunContext(ctx, mix, pol)
-			if err != nil {
-				return err
-			}
-			sums[pol] += out.Speedup
-			row = append(row, fmt.Sprintf("%.3f", out.Speedup))
-		}
-		t.AddRow(row...)
-	}
-	avg := []string{"average"}
-	for _, pol := range policies {
-		avg = append(avg, fmt.Sprintf("%.3f", sums[pol]/float64(len(mixes))))
-	}
-	t.AddRow(avg...)
-	emit(t, "extended")
-	return nil
+	_, err := grid(ctx, l, "Extended: ME-LREQ vs related-work schedulers (SMT speedup)", "extended",
+		append(workload.MixesFor(4, "MEM"), workload.MixesFor(8, "MEM")...),
+		[]string{"hf-rf", "lreq", "me-lreq", "fq", "burst", lab.OnlinePolicy}, "%.3f", true, speedup)
+	return err
 }
 
 // ablation sweeps design choices beyond the paper: priority-table
@@ -570,7 +537,7 @@ func ablation(ctx context.Context, l *lab.Lab) error {
 	runWith := func(mut func(*config.Config)) (float64, error) {
 		total := 0.0
 		for _, mix := range mixes {
-			mes, singles, err := l.MixVectorsContext(ctx, mix)
+			mes, singles, err := l.MixVectors(ctx, mix)
 			if err != nil {
 				return 0, err
 			}
@@ -731,7 +698,7 @@ func fairnessBattleground(ctx context.Context, l *lab.Lab) error {
 		return fmt.Errorf("fairness-battleground: no MEM mixes for %d cores", cores)
 	}
 	policies := fairnessBattlegroundPolicies
-	if err := l.PrimeContext(ctx, mixes, policies); err != nil {
+	if _, err := l.Grid(ctx, mixes, policies); err != nil {
 		return err
 	}
 
@@ -741,7 +708,7 @@ func fairnessBattleground(ctx context.Context, l *lab.Lab) error {
 	sums := map[string]*lab.FairnessOut{}
 	for _, mix := range mixes {
 		for _, pol := range policies {
-			f, err := l.FairnessContext(ctx, mix, pol)
+			f, err := l.Fairness(ctx, mix, pol)
 			if err != nil {
 				return err
 			}
@@ -839,7 +806,7 @@ func sloPack(ctx context.Context, l *lab.Lab) error {
 	if len(points) == 0 {
 		return fmt.Errorf("slo-pack: -slocores %d leaves no density to sweep", *sloCoresFlag)
 	}
-	if err := l.PrimeClassedContext(ctx, jobs); err != nil {
+	if err := l.Prime(ctx, jobs); err != nil {
 		return err
 	}
 
@@ -849,7 +816,7 @@ func sloPack(ctx context.Context, l *lab.Lab) error {
 	pointsByPolicy := map[string][]metrics.SLOPoint{}
 	for _, pt := range points {
 		for _, pol := range sloPackPolicies {
-			out, err := l.RunClassedContext(ctx, pt.mix, pol, pt.classes)
+			out, err := l.RunClassed(ctx, pt.mix, pol, pt.classes)
 			if err != nil {
 				return err
 			}
@@ -895,28 +862,15 @@ func sloPack(ctx context.Context, l *lab.Lab) error {
 // activations) move the same data for less dynamic energy — a dimension the
 // paper does not evaluate.
 func energy(ctx context.Context, l *lab.Lab) error {
-	if err := l.PrimeContext(ctx, workload.MixesFor(4, "MEM"), figure2Policies); err != nil {
-		return err
-	}
-	t := report.NewTable("Energy: dynamic DRAM energy per kilo-instruction (nJ/KI), 4-core MEM workloads",
-		append([]string{"workload"}, figure2Policies...)...)
-	for _, mix := range workload.MixesFor(4, "MEM") {
-		row := []string{mix.Name}
-		for _, pol := range figure2Policies {
-			out, err := l.RunContext(ctx, mix, pol)
-			if err != nil {
-				return err
-			}
+	_, err := grid(ctx, l, "Energy: dynamic DRAM energy per kilo-instruction (nJ/KI), 4-core MEM workloads", "energy",
+		workload.MixesFor(4, "MEM"), figure2Policies, "%.1f", false,
+		func(_ workload.Mix, _ string, out lab.RunOut) (float64, error) {
 			e := out.Result.Energy
-			dynamic := e.TotalNJ - e.BackgroundNJ
 			var instr uint64
 			for _, c := range out.Result.Cores {
 				instr += c.Retired
 			}
-			row = append(row, fmt.Sprintf("%.1f", dynamic*1000/float64(instr)))
-		}
-		t.AddRow(row...)
-	}
-	emit(t, "energy")
-	return nil
+			return (e.TotalNJ - e.BackgroundNJ) * 1000 / float64(instr), nil
+		})
+	return err
 }

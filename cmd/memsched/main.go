@@ -79,7 +79,7 @@ func main() {
 	if *traceFlag > 0 {
 		sys.Controller().EnableDecisionTrace(*traceFlag)
 	}
-	res, err := sys.Run(*instrFlag, 0)
+	res, err := sys.RunContext(context.Background(), *instrFlag, 0)
 	if err != nil {
 		fatal(err)
 	}

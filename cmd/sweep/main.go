@@ -242,7 +242,7 @@ func run(ctx context.Context) error {
 	// Profiling and single-core references are knob-independent (they use
 	// the default machine, as the paper's methodology does).
 	l := lab.New(lab.Options{Instr: *instrFlag, ProfInstr: *instrFlag, Seed: *seedFlag})
-	mes, singles, err := l.MixVectorsContext(ctx, mix)
+	mes, singles, err := l.MixVectors(ctx, mix)
 	if err != nil {
 		return err
 	}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -154,7 +155,7 @@ func replayCmd(path string) error {
 	if err != nil {
 		return err
 	}
-	res, err := sys.Run(*instrFlag, 0)
+	res, err := sys.RunContext(context.Background(), *instrFlag, 0)
 	if err != nil {
 		return err
 	}

@@ -123,7 +123,7 @@ func ExampleNewSystem() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := sys.Run(50_000, 0)
+	res, err := sys.RunContext(context.Background(), 50_000, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -38,8 +38,6 @@ type Options struct {
 	// Checkpoint, when non-empty, is the JSON file Prime persists completed
 	// evaluations to; a later Prime with the same file resumes from it.
 	Checkpoint string
-	// JobTimeout bounds each evaluation's wall clock (0 = unbounded).
-	JobTimeout time.Duration
 	// Progress is the interval between runner progress lines sent to Logf
 	// during Prime (0 disables them).
 	Progress time.Duration
@@ -62,15 +60,21 @@ type runKey struct {
 	classes string
 }
 
-// Lab caches profiling results, single-core references and evaluation runs.
+// singleKey names one single-core run: profiles, SMT-speedup references and
+// noise-replica references all differ only in slice length and seed.
+type singleKey struct {
+	code        byte
+	instr, seed uint64
+}
+
+// Lab caches single-core runs (profiles and references) and evaluation runs.
 // All methods are safe for concurrent use.
 type Lab struct {
 	opts Options
 
-	mu        sync.Mutex
-	profiles  map[byte]sim.Profile
-	singleIPC map[byte]float64
-	runs      map[runKey]RunOut
+	mu      sync.Mutex
+	singles map[singleKey]sim.Profile
+	runs    map[runKey]RunOut
 }
 
 // New creates a Lab. Zero-valued Instr/ProfInstr default to 200 000.
@@ -85,10 +89,9 @@ func New(opts Options) *Lab {
 		opts.Seed = sim.EvalSeed
 	}
 	return &Lab{
-		opts:      opts,
-		profiles:  map[byte]sim.Profile{},
-		singleIPC: map[byte]float64{},
-		runs:      map[runKey]RunOut{},
+		opts:    opts,
+		singles: map[singleKey]sim.Profile{},
+		runs:    map[runKey]RunOut{},
 	}
 }
 
@@ -98,16 +101,12 @@ func (l *Lab) logf(format string, args ...any) {
 	}
 }
 
-// Profile returns the (cached) single-core profiling result for the
-// application with the given Table 2 code, measured with the profiling seed.
-func (l *Lab) Profile(code byte) (sim.Profile, error) {
-	return l.ProfileContext(context.Background(), code)
-}
-
-// ProfileContext is Profile under a cancellable context.
-func (l *Lab) ProfileContext(ctx context.Context, code byte) (sim.Profile, error) {
+// single returns the (cached) single-core run of the application with the
+// given Table 2 code over instr instructions under seed.
+func (l *Lab) single(ctx context.Context, code byte, instr, seed uint64) (sim.Profile, error) {
+	key := singleKey{code, instr, seed}
 	l.mu.Lock()
-	p, ok := l.profiles[code]
+	p, ok := l.singles[key]
 	l.mu.Unlock()
 	if ok {
 		return p, nil
@@ -116,93 +115,65 @@ func (l *Lab) ProfileContext(ctx context.Context, code byte) (sim.Profile, error
 	if err != nil {
 		return sim.Profile{}, err
 	}
-	l.logf("profiling %s", app.Name)
-	p, err = sim.ProfileAppContext(ctx, app, l.opts.ProfInstr, sim.ProfileSeed)
+	l.logf("single-core %s instr=%d seed=%#x", app.Name, instr, seed)
+	p, err = sim.ProfileAppContext(ctx, app, instr, seed)
 	if err != nil {
 		return sim.Profile{}, err
 	}
 	l.mu.Lock()
-	l.profiles[code] = p
+	l.singles[key] = p
 	l.mu.Unlock()
 	return p, nil
+}
+
+// Profile returns the (cached) single-core profiling result for the
+// application with the given Table 2 code, measured with the profiling seed.
+func (l *Lab) Profile(ctx context.Context, code byte) (sim.Profile, error) {
+	return l.single(ctx, code, l.opts.ProfInstr, sim.ProfileSeed)
 }
 
 // SetProfile overrides the cached profile for code (used when a caller has
 // already run classification and wants its richer Profile retained).
 func (l *Lab) SetProfile(code byte, p sim.Profile) {
 	l.mu.Lock()
-	l.profiles[code] = p
+	l.singles[singleKey{code, l.opts.ProfInstr, sim.ProfileSeed}] = p
 	l.mu.Unlock()
-}
-
-// SingleIPC returns the (cached) single-core IPC under the evaluation seed —
-// the denominator of the SMT-speedup metric.
-func (l *Lab) SingleIPC(code byte) (float64, error) {
-	return l.SingleIPCContext(context.Background(), code)
-}
-
-// SingleIPCContext is SingleIPC under a cancellable context.
-func (l *Lab) SingleIPCContext(ctx context.Context, code byte) (float64, error) {
-	l.mu.Lock()
-	v, ok := l.singleIPC[code]
-	l.mu.Unlock()
-	if ok {
-		return v, nil
-	}
-	app, err := workload.ByCode(code)
-	if err != nil {
-		return 0, err
-	}
-	l.logf("single-core reference %s", app.Name)
-	p, err := sim.ProfileAppContext(ctx, app, l.opts.Instr, l.opts.Seed)
-	if err != nil {
-		return 0, err
-	}
-	l.mu.Lock()
-	l.singleIPC[code] = p.IPC
-	l.mu.Unlock()
-	return p.IPC, nil
 }
 
 // MixVectors returns the per-core memory-efficiency vector (profiling seed)
 // and single-core IPC vector (evaluation seed) for a mix.
-func (l *Lab) MixVectors(mix workload.Mix) (mes, singles []float64, err error) {
-	return l.MixVectorsContext(context.Background(), mix)
+func (l *Lab) MixVectors(ctx context.Context, mix workload.Mix) (mes, singles []float64, err error) {
+	return l.vectors(ctx, mix, l.opts.Seed)
 }
 
-// MixVectorsContext is MixVectors under a cancellable context.
-func (l *Lab) MixVectorsContext(ctx context.Context, mix workload.Mix) (mes, singles []float64, err error) {
+// vectors is MixVectors with the single-core IPCs measured under seed.
+func (l *Lab) vectors(ctx context.Context, mix workload.Mix, seed uint64) (mes, singles []float64, err error) {
 	for i := 0; i < len(mix.Codes); i++ {
-		p, err := l.ProfileContext(ctx, mix.Codes[i])
+		p, err := l.Profile(ctx, mix.Codes[i])
 		if err != nil {
 			return nil, nil, err
 		}
-		s, err := l.SingleIPCContext(ctx, mix.Codes[i])
+		s, err := l.single(ctx, mix.Codes[i], l.opts.Instr, seed)
 		if err != nil {
 			return nil, nil, err
 		}
 		mes = append(mes, p.ME)
-		singles = append(singles, s)
+		singles = append(singles, s.IPC)
 	}
 	return mes, singles, nil
 }
 
 // Run evaluates mix under policy (cached). policy may be any registry name
-// or OnlinePolicy.
-func (l *Lab) Run(mix workload.Mix, policy string) (RunOut, error) {
-	return l.RunContext(context.Background(), mix, policy)
+// or OnlinePolicy. Cancellation lands mid-simulation (sim.CancelCheckCycles
+// granularity), not just between runs.
+func (l *Lab) Run(ctx context.Context, mix workload.Mix, policy string) (RunOut, error) {
+	return l.RunClassed(ctx, mix, policy, nil)
 }
 
-// RunContext is Run under a cancellable context: cancellation lands
-// mid-simulation (sim.CancelCheckCycles granularity), not just between runs.
-func (l *Lab) RunContext(ctx context.Context, mix workload.Mix, policy string) (RunOut, error) {
-	return l.RunClassedContext(ctx, mix, policy, nil)
-}
-
-// RunClassedContext is RunContext with a per-core serving-class assignment
-// (see sim.Options.Classes); nil classes reproduces RunContext exactly, and
-// classed runs are cached separately from classless ones.
-func (l *Lab) RunClassedContext(ctx context.Context, mix workload.Mix, policy string,
+// RunClassed is Run with a per-core serving-class assignment (see
+// sim.Options.Classes); nil classes reproduces Run exactly, and classed runs
+// are cached separately from classless ones.
+func (l *Lab) RunClassed(ctx context.Context, mix workload.Mix, policy string,
 	classes []workload.ServiceClass) (RunOut, error) {
 	key := runKey{mix.Name, policy, workload.FormatServiceClasses(classes)}
 	l.mu.Lock()
@@ -211,13 +182,27 @@ func (l *Lab) RunClassedContext(ctx context.Context, mix workload.Mix, policy st
 	if ok {
 		return out, nil
 	}
+	out, err := l.simulate(ctx, mix, policy, classes, l.opts.Seed)
+	if err != nil {
+		return RunOut{}, fmt.Errorf("lab: %s under %s: %w", mix.Name, policy, err)
+	}
+	l.logf("%-8s %-14s speedup=%.3f", mix.Name, policy, out.Speedup)
+	l.mu.Lock()
+	l.runs[key] = out
+	l.mu.Unlock()
+	return out, nil
+}
 
-	mes, singles, err := l.MixVectorsContext(ctx, mix)
+// simulate runs mix under policy at the lab's slice length and the given
+// seed, and scores it against the single-core references at that seed.
+func (l *Lab) simulate(ctx context.Context, mix workload.Mix, policy string,
+	classes []workload.ServiceClass, seed uint64) (RunOut, error) {
+	mes, singles, err := l.vectors(ctx, mix, seed)
 	if err != nil {
 		return RunOut{}, err
 	}
 	spec := sim.RunSpec{Mix: mix, Policy: policy, Instr: l.opts.Instr, ME: mes,
-		Seed: l.opts.Seed, Classes: classes}
+		Seed: seed, Classes: classes}
 	if policy == OnlinePolicy {
 		// The runtime ME estimator starts from neutral (equal) priorities so
 		// it has to earn its keep.
@@ -231,27 +216,13 @@ func (l *Lab) RunClassedContext(ctx context.Context, mix workload.Mix, policy st
 	}
 	res, err := sim.Run(ctx, spec)
 	if err != nil {
-		return RunOut{}, fmt.Errorf("lab: %s under %s: %w", mix.Name, policy, err)
+		return RunOut{}, err
 	}
 	sp, err := metrics.SMTSpeedup(res.IPCs(), singles)
 	if err != nil {
 		return RunOut{}, err
 	}
-	out = RunOut{Speedup: sp, Result: res}
-	l.logf("%-8s %-14s speedup=%.3f", mix.Name, policy, sp)
-	l.mu.Lock()
-	l.runs[key] = out
-	l.mu.Unlock()
-	return out, nil
-}
-
-// Unfairness computes the Figure 5 metric for a cached or fresh run.
-func (l *Lab) Unfairness(mix workload.Mix, policy string) (float64, error) {
-	f, err := l.Fairness(mix, policy)
-	if err != nil {
-		return 0, err
-	}
-	return f.Unfairness, nil
+	return RunOut{Speedup: sp, Result: res}, nil
 }
 
 // FairnessOut bundles every fairness metric of one (workload, policy) run.
@@ -270,17 +241,12 @@ type FairnessOut struct {
 }
 
 // Fairness computes the full fairness-metric suite for a cached or fresh run.
-func (l *Lab) Fairness(mix workload.Mix, policy string) (FairnessOut, error) {
-	return l.FairnessContext(context.Background(), mix, policy)
-}
-
-// FairnessContext is Fairness under a cancellable context.
-func (l *Lab) FairnessContext(ctx context.Context, mix workload.Mix, policy string) (FairnessOut, error) {
-	out, err := l.RunContext(ctx, mix, policy)
+func (l *Lab) Fairness(ctx context.Context, mix workload.Mix, policy string) (FairnessOut, error) {
+	out, err := l.Run(ctx, mix, policy)
 	if err != nil {
 		return FairnessOut{}, err
 	}
-	_, singles, err := l.MixVectorsContext(ctx, mix)
+	_, singles, err := l.MixVectors(ctx, mix)
 	if err != nil {
 		return FairnessOut{}, err
 	}
@@ -308,43 +274,23 @@ type Replicated struct {
 // RunReplicated evaluates mix under policy across n different seeds (the
 // lab's base seed plus n-1 derived ones) and returns mean and standard
 // deviation of the SMT speedup — a noise estimate the paper's single-run
-// methodology lacks. Replicas recompute single-core references for their
-// own seed, so each sample is internally consistent. Results are not cached.
+// methodology lacks. Each replica is scored against single-core references
+// at its own seed, so each sample is internally consistent; the references
+// are cached (replica 0's are Run's), the replicas themselves are not.
 // Cancelling ctx stops the profiling and replica runs mid-simulation.
 func (l *Lab) RunReplicated(ctx context.Context, mix workload.Mix, policy string, n int) (Replicated, error) {
 	if n < 1 {
 		return Replicated{}, fmt.Errorf("lab: replication count %d < 1", n)
 	}
-	mes, _, err := l.MixVectorsContext(ctx, mix)
-	if err != nil {
-		return Replicated{}, err
-	}
-	apps, err := mix.Apps()
-	if err != nil {
-		return Replicated{}, err
-	}
 	out := Replicated{N: n}
 	sum, sumSq := 0.0, 0.0
 	for rep := 0; rep < n; rep++ {
 		seed := l.opts.Seed + uint64(rep)*0x9E3779B97F4A7C15
-		singles := make([]float64, len(apps))
-		for i, a := range apps {
-			p, err := sim.ProfileAppContext(ctx, a, l.opts.Instr, seed)
-			if err != nil {
-				return Replicated{}, err
-			}
-			singles[i] = p.IPC
-		}
-		res, err := sim.Run(ctx, sim.RunSpec{
-			Mix: mix, Policy: policy, Instr: l.opts.Instr, ME: mes, Seed: seed,
-		})
+		run, err := l.simulate(ctx, mix, policy, nil, seed)
 		if err != nil {
-			return Replicated{}, fmt.Errorf("lab: replica %d: %w", rep, err)
+			return Replicated{}, fmt.Errorf("lab: %s under %s, replica %d: %w", mix.Name, policy, rep, err)
 		}
-		sp, err := metrics.SMTSpeedup(res.IPCs(), singles)
-		if err != nil {
-			return Replicated{}, err
-		}
+		sp := run.Speedup
 		out.Samples = append(out.Samples, sp)
 		sum += sp
 		sumSq += sp * sp
@@ -360,49 +306,29 @@ func (l *Lab) RunReplicated(ctx context.Context, mix workload.Mix, policy string
 	return out, nil
 }
 
-// Prime fills every cache needed for the given sweep, running independent
-// evaluations on internal/runner's worker pool. After Prime returns nil, Run
-// and MixVectors on the same arguments are cache hits.
-func (l *Lab) Prime(mixes []workload.Mix, policies []string) error {
-	return l.PrimeContext(context.Background(), mixes, policies)
-}
-
-// PrimeContext is Prime under a cancellable context. The fan-out inherits
-// the full runner feature set: Workers-wide parallel execution whose cached
-// results are identical to a serial pass, panic isolation per evaluation,
-// per-job timeouts, progress lines, and — when Options.Checkpoint is set —
-// persistent completed-run checkpoints that a later PrimeContext on the same
-// file resumes from instead of re-simulating.
-func (l *Lab) PrimeContext(ctx context.Context, mixes []workload.Mix, policies []string) error {
-	jobs := make([]ClassedJob, 0, len(mixes)*len(policies))
-	for _, mix := range mixes {
-		for _, pol := range policies {
-			jobs = append(jobs, ClassedJob{Mix: mix, Policy: pol})
-		}
-	}
-	return l.PrimeClassedContext(ctx, jobs)
-}
-
-// ClassedJob names one (mix, policy, classes) evaluation for
-// PrimeClassedContext; nil Classes is the classless run.
+// ClassedJob names one (mix, policy, classes) evaluation for Prime; nil
+// Classes is the classless run.
 type ClassedJob struct {
 	Mix     workload.Mix
 	Policy  string
 	Classes []workload.ServiceClass
 }
 
-// PrimeClassedContext fills the run cache for an explicit list of
-// evaluations, classed or classless, on the worker pool with PrimeContext's
-// timeouts, progress and checkpoint/resume. After it returns nil,
-// RunClassedContext on the same triples is a cache hit.
-func (l *Lab) PrimeClassedContext(ctx context.Context, jobs []ClassedJob) error {
+// Prime fills the run cache for a list of evaluations, classed or
+// classless, on internal/runner's worker pool: Workers-wide parallel
+// execution whose cached results are identical to a serial pass, panic
+// isolation per evaluation, progress lines, and — when Options.Checkpoint is
+// set — persistent completed-run checkpoints that a later Prime on the same
+// file resumes from instead of re-simulating. After it returns nil,
+// RunClassed and MixVectors on the same arguments are cache hits.
+func (l *Lab) Prime(ctx context.Context, jobs []ClassedJob) error {
 	// Profiles and references first: they feed every run, and keeping them
 	// serial keeps their log order (and any profiling error) deterministic.
 	seen := map[string]bool{}
 	for _, j := range jobs {
 		if !seen[j.Mix.Name] {
 			seen[j.Mix.Name] = true
-			if _, _, err := l.MixVectorsContext(ctx, j.Mix); err != nil {
+			if _, _, err := l.MixVectors(ctx, j.Mix); err != nil {
 				return err
 			}
 		}
@@ -425,11 +351,10 @@ func (l *Lab) PrimeClassedContext(ctx context.Context, jobs []ClassedJob) error 
 	outs, err := runner.Run(ctx, runner.NewJobs(keys),
 		func(ctx context.Context, job runner.Job) (RunOut, error) {
 			j := pending[job.ID]
-			return l.RunClassedContext(ctx, j.Mix, j.Policy, j.Classes)
+			return l.RunClassed(ctx, j.Mix, j.Policy, j.Classes)
 		},
 		runner.Options{
 			Workers:    l.opts.Workers,
-			JobTimeout: l.opts.JobTimeout,
 			Progress:   l.opts.Progress,
 			Logf:       l.opts.Logf,
 			Checkpoint: l.opts.Checkpoint,
@@ -451,6 +376,32 @@ func (l *Lab) PrimeClassedContext(ctx context.Context, jobs []ClassedJob) error 
 		return err
 	}
 	return runner.FirstError(outs)
+}
+
+// Grid evaluates every classless (mix, policy) pair through Prime and
+// returns the runs indexed [mix][policy].
+func (l *Lab) Grid(ctx context.Context, mixes []workload.Mix, policies []string) ([][]RunOut, error) {
+	jobs := make([]ClassedJob, 0, len(mixes)*len(policies))
+	for _, mix := range mixes {
+		for _, pol := range policies {
+			jobs = append(jobs, ClassedJob{Mix: mix, Policy: pol})
+		}
+	}
+	if err := l.Prime(ctx, jobs); err != nil {
+		return nil, err
+	}
+	grid := make([][]RunOut, len(mixes))
+	for i, mix := range mixes {
+		grid[i] = make([]RunOut, len(policies))
+		for j, pol := range policies {
+			out, err := l.Run(ctx, mix, pol)
+			if err != nil {
+				return nil, err
+			}
+			grid[i][j] = out
+		}
+	}
+	return grid, nil
 }
 
 // checkpointKey names an evaluation in a checkpoint: "mix/policy" for a

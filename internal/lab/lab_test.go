@@ -3,6 +3,7 @@ package lab
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,6 +19,17 @@ func testLab() *Lab {
 	return New(Options{Instr: 15_000, ProfInstr: 15_000, Workers: 2})
 }
 
+// matrix lists every classless (mix, policy) evaluation, mixes outermost.
+func matrix(mixes []workload.Mix, policies []string) []ClassedJob {
+	var jobs []ClassedJob
+	for _, mix := range mixes {
+		for _, pol := range policies {
+			jobs = append(jobs, ClassedJob{Mix: mix, Policy: pol})
+		}
+	}
+	return jobs
+}
+
 func TestDefaults(t *testing.T) {
 	l := New(Options{})
 	if l.opts.Instr != 200_000 || l.opts.ProfInstr != 200_000 {
@@ -30,13 +42,14 @@ func TestDefaults(t *testing.T) {
 
 func TestProfileCached(t *testing.T) {
 	l := testLab()
+	ctx := context.Background()
 	calls := 0
 	l.opts.Logf = func(string, ...any) { calls++ }
-	a, err := l.Profile('c')
+	a, err := l.Profile(ctx, 'c')
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := l.Profile('c')
+	b, err := l.Profile(ctx, 'c')
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +59,7 @@ func TestProfileCached(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("profiling ran %d times, want 1", calls)
 	}
-	if _, err := l.Profile('!'); err == nil {
+	if _, err := l.Profile(ctx, '!'); err == nil {
 		t.Fatal("unknown code accepted")
 	}
 }
@@ -54,7 +67,7 @@ func TestProfileCached(t *testing.T) {
 func TestSetProfileOverrides(t *testing.T) {
 	l := testLab()
 	l.SetProfile('c', sim.Profile{App: "custom", ME: 42})
-	p, err := l.Profile('c')
+	p, err := l.Profile(context.Background(), 'c')
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +82,12 @@ func TestRunCachedAndDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := l.Run(mix, "me-lreq")
+	ctx := context.Background()
+	a, err := l.Run(ctx, mix, "me-lreq")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := l.Run(mix, "me-lreq")
+	b, err := l.Run(ctx, mix, "me-lreq")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +96,7 @@ func TestRunCachedAndDeterministic(t *testing.T) {
 	}
 	// A fresh lab with identical options reproduces the same numbers.
 	l2 := testLab()
-	c, err := l2.Run(mix, "me-lreq")
+	c, err := l2.Run(ctx, mix, "me-lreq")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +108,7 @@ func TestRunCachedAndDeterministic(t *testing.T) {
 func TestRunBadPolicy(t *testing.T) {
 	l := testLab()
 	mix, _ := workload.MixByName("2MEM-1")
-	if _, err := l.Run(mix, "definitely-not-a-policy"); err == nil {
+	if _, err := l.Run(context.Background(), mix, "definitely-not-a-policy"); err == nil {
 		t.Fatal("bad policy accepted")
 	} else if !strings.Contains(err.Error(), "2MEM-1") {
 		t.Fatalf("error lacks workload context: %v", err)
@@ -105,7 +119,8 @@ func TestPrimeThenRunIsCacheHit(t *testing.T) {
 	l := testLab()
 	mixes := workload.MixesFor(2, "MEM")[:2]
 	policies := []string{"hf-rf", "lreq"}
-	if err := l.Prime(mixes, policies); err != nil {
+	ctx := context.Background()
+	if err := l.Prime(ctx, matrix(mixes, policies)); err != nil {
 		t.Fatal(err)
 	}
 	ran := 0
@@ -116,7 +131,7 @@ func TestPrimeThenRunIsCacheHit(t *testing.T) {
 	}
 	for _, mix := range mixes {
 		for _, pol := range policies {
-			if _, err := l.Run(mix, pol); err != nil {
+			if _, err := l.Run(ctx, mix, pol); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -131,17 +146,17 @@ func TestPrimeParallelMatchesSerial(t *testing.T) {
 	serial := New(Options{Instr: 15_000, ProfInstr: 15_000, Workers: 1})
 	parallel := New(Options{Instr: 15_000, ProfInstr: 15_000, Workers: 4})
 	policies := []string{"hf-rf", "rr", "me-lreq"}
-	if err := serial.Prime([]workload.Mix{mix}, policies); err != nil {
+	a, err := serial.Grid(context.Background(), []workload.Mix{mix}, policies)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := parallel.Prime([]workload.Mix{mix}, policies); err != nil {
+	b, err := parallel.Grid(context.Background(), []workload.Mix{mix}, policies)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pol := range policies {
-		a, _ := serial.Run(mix, pol)
-		b, _ := parallel.Run(mix, pol)
-		if a.Speedup != b.Speedup {
-			t.Fatalf("%s: parallel %v != serial %v", pol, b.Speedup, a.Speedup)
+	for j, pol := range policies {
+		if a[0][j].Speedup != b[0][j].Speedup {
+			t.Fatalf("%s: parallel %v != serial %v", pol, b[0][j].Speedup, a[0][j].Speedup)
 		}
 	}
 }
@@ -149,7 +164,7 @@ func TestPrimeParallelMatchesSerial(t *testing.T) {
 func TestPrimePropagatesErrors(t *testing.T) {
 	l := testLab()
 	mixes := workload.MixesFor(2, "MEM")[:1]
-	if err := l.Prime(mixes, []string{"hf-rf", "bogus"}); err == nil {
+	if err := l.Prime(context.Background(), matrix(mixes, []string{"hf-rf", "bogus"})); err == nil {
 		t.Fatal("Prime swallowed a bad policy")
 	}
 }
@@ -157,31 +172,40 @@ func TestPrimePropagatesErrors(t *testing.T) {
 func TestOnlinePolicyRuns(t *testing.T) {
 	l := testLab()
 	mix, _ := workload.MixByName("2MEM-1")
-	out, err := l.Run(mix, OnlinePolicy)
+	out, err := l.Run(context.Background(), mix, OnlinePolicy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Speedup <= 0 {
 		t.Fatalf("online speedup = %v", out.Speedup)
 	}
+	// Replicas build their run through the same path, so they accept the
+	// pseudo-policy too, and replica 0 is the cached run at the base seed.
+	rep, err := l.RunReplicated(context.Background(), mix, OnlinePolicy, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Samples[0] != out.Speedup {
+		t.Fatalf("replica 0 speedup %v != Run's %v", rep.Samples[0], out.Speedup)
+	}
 }
 
 func TestUnfairness(t *testing.T) {
 	l := testLab()
 	mix, _ := workload.MixByName("2MEM-1")
-	u, err := l.Unfairness(mix, "hf-rf")
+	f, err := l.Fairness(context.Background(), mix, "hf-rf")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u < 1 {
-		t.Fatalf("unfairness %v < 1", u)
+	if f.Unfairness < 1 {
+		t.Fatalf("unfairness %v < 1", f.Unfairness)
 	}
 }
 
 func TestFairnessSuite(t *testing.T) {
 	l := testLab()
 	mix, _ := workload.MixByName("2MEM-1")
-	f, err := l.Fairness(mix, "bliss")
+	f, err := l.Fairness(context.Background(), mix, "bliss")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,20 +227,12 @@ func TestFairnessSuite(t *testing.T) {
 	if f.HarmonicSpeedup <= 0 || f.HarmonicSpeedup > f.Speedup/2+1e-9 {
 		t.Errorf("harmonic speedup %v outside (0, SMT/n] for SMT %v", f.HarmonicSpeedup, f.Speedup)
 	}
-	// Consistency with the single-metric path and the cached run.
-	u, err := l.Unfairness(mix, "bliss")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u != f.Unfairness {
-		t.Errorf("Unfairness %v != Fairness().Unfairness %v", u, f.Unfairness)
-	}
 }
 
 func TestMixVectorsShape(t *testing.T) {
 	l := testLab()
 	mix, _ := workload.MixByName("4MEM-1")
-	mes, singles, err := l.MixVectors(mix)
+	mes, singles, err := l.MixVectors(context.Background(), mix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +302,7 @@ func TestRunReplicatedSingle(t *testing.T) {
 func TestRunReplicatedCancellation(t *testing.T) {
 	l := testLab()
 	mix, _ := workload.MixByName("2MEM-1")
-	if _, _, err := l.MixVectors(mix); err != nil {
+	if _, _, err := l.MixVectors(context.Background(), mix); err != nil {
 		t.Fatal(err)
 	}
 	replicas := 0
@@ -311,9 +327,9 @@ func TestPrimeContextCancellation(t *testing.T) {
 	mix, _ := workload.MixByName("2MEM-1")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := l.PrimeContext(ctx, []workload.Mix{mix}, []string{"hf-rf"})
+	err := l.Prime(ctx, []ClassedJob{{Mix: mix, Policy: "hf-rf"}})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("PrimeContext on cancelled ctx = %v, want context.Canceled", err)
+		t.Fatalf("Prime on cancelled ctx = %v, want context.Canceled", err)
 	}
 }
 
@@ -323,16 +339,17 @@ func TestPrimeCheckpointResume(t *testing.T) {
 	mixes := workload.MixesFor(2, "MEM")[:2]
 	policies := []string{"hf-rf", "me-lreq"}
 
+	ctx := context.Background()
 	first := New(opts)
-	if err := first.Prime(mixes, policies); err != nil {
+	if err := first.Prime(ctx, matrix(mixes, policies)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("checkpoint not written: %v", err)
 	}
 
-	// A fresh lab on the same checkpoint resumes every evaluation instead of
-	// re-simulating, and serves identical numbers from its cache.
+	// A fresh lab's Grid on the same checkpoint resumes every evaluation
+	// instead of re-simulating, and returns identical numbers.
 	// Logf runs on the runner's workers, so the counters are atomic.
 	second := New(opts)
 	var ran atomic.Int64
@@ -341,23 +358,20 @@ func TestPrimeCheckpointResume(t *testing.T) {
 			ran.Add(1)
 		}
 	}
-	if err := second.Prime(mixes, policies); err != nil {
+	grid, err := second.Grid(ctx, mixes, policies)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if n := ran.Load(); n != 0 {
 		t.Fatalf("%d evaluations re-ran on resume, want 0", n)
 	}
-	for _, mix := range mixes {
-		for _, pol := range policies {
-			a, err := first.Run(mix, pol)
+	for i, mix := range mixes {
+		for j, pol := range policies {
+			a, err := first.Run(ctx, mix, pol)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := second.Run(mix, pol)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(a, b) {
+			if !reflect.DeepEqual(a, grid[i][j]) {
 				t.Fatalf("%s/%s: resumed run differs from original", mix.Name, pol)
 			}
 		}
@@ -375,7 +389,7 @@ func TestPrimeCheckpointResume(t *testing.T) {
 			reran.Add(1)
 		}
 	}
-	if err := third.Prime(mixes, policies); err != nil {
+	if err := third.Prime(ctx, matrix(mixes, policies)); err != nil {
 		t.Fatalf("prime over a mismatched checkpoint: %v", err)
 	}
 	if reran.Load() == 0 {
@@ -383,5 +397,67 @@ func TestPrimeCheckpointResume(t *testing.T) {
 	}
 	if _, err := os.Stat(path + ".bak"); err != nil {
 		t.Fatalf("mismatched checkpoint not preserved as .bak: %v", err)
+	}
+}
+
+// TestGridMatchesRun checks that Grid's matrix holds, cell for cell, what a
+// fresh lab's unprimed Run returns.
+func TestGridMatchesRun(t *testing.T) {
+	ctx := context.Background()
+	mixes := []workload.Mix{workload.MixesFor(2, "MEM")[0], workload.MixesFor(2, "MIX")[0]}
+	policies := []string{"hf-rf", "me-lreq"}
+	grid, err := testLab().Grid(ctx, mixes, policies)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := testLab()
+	for i, mix := range mixes {
+		for j, pol := range policies {
+			out, err := l.Run(ctx, mix, pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(out, grid[i][j]) {
+				t.Fatalf("Grid[%s][%s] differs from Run", mix.Name, pol)
+			}
+		}
+	}
+}
+
+// TestRunReplicatedSharesSingleCoreRuns checks the one single-core cache:
+// over two mixes that share applications, each distinct (application,
+// slice, seed) single-core run happens once, profiles included, and
+// replica 0's references are the evaluation seed's.
+func TestRunReplicatedSharesSingleCoreRuns(t *testing.T) {
+	l := testLab()
+	var runs []string
+	l.opts.Logf = func(format string, args ...any) {
+		if strings.HasPrefix(format, "single-core") {
+			runs = append(runs, fmt.Sprintf(format, args...))
+		}
+	}
+	ctx := context.Background()
+	for _, name := range []string{"2MEM-1", "4MEM-1"} { // bc, bcde
+		mix, err := workload.MixByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Run(ctx, mix, "hf-rf"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.RunReplicated(ctx, mix, "hf-rf", 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seen := map[string]bool{}
+	for _, r := range runs {
+		if seen[r] {
+			t.Errorf("single-core run repeated: %s", r)
+		}
+		seen[r] = true
+	}
+	// Four applications: one profile each, and one reference per seed.
+	if want := 4 + 4*2; len(runs) != want {
+		t.Fatalf("%d single-core runs, want %d: %q", len(runs), want, runs)
 	}
 }

@@ -142,7 +142,7 @@ func TestClassHistogramDifferential(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if _, err := sys.Run(3_000, 0); err != nil {
+						if _, err := sys.RunContext(context.Background(), 3_000, 0); err != nil {
 							t.Fatal(err)
 						}
 						return [2]stats.LatencyHist{

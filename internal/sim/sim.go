@@ -360,14 +360,9 @@ func nextCancelCheck(now int64) int64 {
 	return now
 }
 
-// Run executes until every core retires instrPerCore instructions, or until
-// maxCycles elapse (0 selects a generous default); hitting the bound is an
-// error, because results would be truncated.
-func (s *System) Run(instrPerCore uint64, maxCycles int64) (Result, error) {
-	return s.RunContext(context.Background(), instrPerCore, maxCycles)
-}
-
-// RunContext is Run with mid-simulation cancellation: ctx is polled every
+// RunContext executes until every core retires instrPerCore instructions, or
+// until maxCycles elapse (0 selects a generous default); hitting the bound is
+// an error, because results would be truncated. ctx is polled every
 // CancelCheckCycles simulated cycles, in both the warmup and the measurement
 // phase, and a cancelled run returns ctx's error (wrapped, so errors.Is works)
 // with a zero-valued Result.

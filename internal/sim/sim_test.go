@@ -30,7 +30,7 @@ func TestSingleCoreRunCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Run(testSlice, 0)
+	res, err := sys.RunContext(context.Background(), testSlice, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestRunValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Run(0, 0); err == nil {
+	if _, err := sys.RunContext(context.Background(), 0, 0); err == nil {
 		t.Error("zero instruction target accepted")
 	}
 }
@@ -94,7 +94,7 @@ func TestDeterministicResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sys.Run(20_000, 0)
+		res, err := sys.RunContext(context.Background(), 20_000, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestSeedChangesOutcome(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sys.Run(20_000, 0)
+		res, err := sys.RunContext(context.Background(), 20_000, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestMultiCoreContentionSlowsCores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resAlone, err := alone.Run(testSlice, 0)
+	resAlone, err := alone.RunContext(context.Background(), testSlice, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestMultiCoreContentionSlowsCores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resQuad, err := quad.Run(testSlice, 0)
+	resQuad, err := quad.RunContext(context.Background(), testSlice, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestOnlineMEEstimatorTracks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Run(60_000, 0); err != nil {
+	if _, err := sys.RunContext(context.Background(), 60_000, 0); err != nil {
 		t.Fatal(err)
 	}
 	est := sys.online
@@ -330,7 +330,7 @@ func TestPerfectMemoryConfigRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Run(testSlice, 0)
+	res, err := sys.RunContext(context.Background(), testSlice, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestGeneratorOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Run(20_000, 0)
+	res, err := sys.RunContext(context.Background(), 20_000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestNoWarmupOption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sys.Run(20_000, 0)
+		res, err := sys.RunContext(context.Background(), 20_000, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -415,7 +415,7 @@ func TestEnergyReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Run(20_000, 0)
+	res, err := sys.RunContext(context.Background(), 20_000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +471,7 @@ func TestWarmupChangesOnlyStatistics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sys.Run(10_000, 0)
+		res, err := sys.RunContext(context.Background(), 10_000, 0)
 		if err != nil {
 			t.Fatalf("warmup %d: %v", warm, err)
 		}

@@ -241,7 +241,7 @@ func TestResultIndependentOfHostWidth(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err = sys.Run(3_000, 0)
+			res, err = sys.RunContext(context.Background(), 3_000, 0)
 			if w, c := sys.ParallelWindows(); w != 0 || c != 0 {
 				t.Errorf("GOMAXPROCS=%d ParallelCores=%d: ParallelWindows = (%d, %d), want (0, 0)",
 					tc.procs, tc.hint, w, c)

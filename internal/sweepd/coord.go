@@ -671,6 +671,12 @@ func (c *Coordinator) handleOutcomes(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
+// maxEventBuffer caps a subscriber's buffer of undelivered events, so an
+// event stream's memory does not grow with its sweep's size: 1,024 events
+// (112 KiB) absorb several completion batches while the client reads, and
+// deliver drops progress lines for a subscriber that falls further behind.
+const maxEventBuffer = 1024
+
 // handleEvents streams a sweep's progress as NDJSON: one EventV1 per
 // completed job (already-completed jobs replay first, so a late subscriber
 // sees the full history), then a final "sweep" summary line.
@@ -702,7 +708,7 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	sw.subSeq++
 	subID := sw.subSeq
-	sub := make(chan EventV1, 4*len(sw.outcomes)+16)
+	sub := make(chan EventV1, min(4*len(sw.outcomes)+16, maxEventBuffer))
 	sw.subs[subID] = sub
 	sw.mu.Unlock()
 

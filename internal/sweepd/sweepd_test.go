@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -587,6 +588,43 @@ func TestCachePersistence(t *testing.T) {
 		if !bytes.Equal(out1.Outcomes[i].Value, out2.Outcomes[i].Value) {
 			t.Fatalf("job %d: cached bytes changed across restart", i)
 		}
+	}
+}
+
+// TestEventStreamMemoryIndependentOfSweepSize subscribes to a large sweep's
+// events with an already-cancelled request: the subscription must not
+// allocate in proportion to the sweep's job count.
+func TestEventStreamMemoryIndependentOfSweepSize(t *testing.T) {
+	coord, err := NewCoordinator(CoordinatorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	const jobs = 50_000
+	req := SweepRequestV1{Jobs: make([]JobV1, jobs)}
+	for i := range req.Jobs {
+		req.Jobs[i] = JobV1{ID: i, Key: fmt.Sprint(i), Spec: testSpec("hf-rf")}
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	coord.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweeps", bytes.NewReader(body)))
+	var ack SubmitResponseV1
+	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &ack) != nil {
+		t.Fatalf("submit: %d %s", rec.Code, rec.Body)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	events := httptest.NewRequest(http.MethodGet, "/v1/sweeps/"+ack.SweepID+"/events", nil).WithContext(ctx)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	coord.Handler().ServeHTTP(httptest.NewRecorder(), events)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("one event subscription to a %d-job sweep allocated %d bytes, want at most 1 MiB", jobs, got)
 	}
 }
 

@@ -133,7 +133,7 @@ func TestPublicCustomPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Run(apiSlice, 0)
+	res, err := sys.RunContext(context.Background(), apiSlice, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
