@@ -237,7 +237,7 @@ func (h *Hierarchy) fire(now int64, e *hevent) {
 	case hkFillL2:
 		h.fillL2(int(e.core), e.line, now)
 	case hkMemRead:
-		if h.mc.EnqueueReadSink(h, int(e.core), e.line, now) {
+		if h.mc.EnqueueRead(h, int(e.core), e.line, now) {
 			h.core[e.core].MemReads++
 		} else {
 			h.schedule(now+1, hkMemRead, int(e.core), e.line, false)

@@ -86,9 +86,12 @@ type Core struct {
 
 	// fuUsed counts per-cycle functional-unit issue (Table 1: 4 IntALU,
 	// 2 IntMult, 2 FPALU, 1 FPMult); fuCycle tags the cycle the counters
-	// belong to.
+	// belong to. A non-memory kind k issues to pool k.Pool() and takes
+	// fuLat[k.Pool()] cycles; the limits and latencies are copied out of cfg
+	// once.
 	fuUsed   [4]int
-	fuLimits [4]int // per-class pool sizes, copied out of cfg once
+	fuLimits [4]int
+	fuLat    [4]int64
 	fuCycle  int64
 
 	// Instruction-fetch model (ConfigureFetch): the front end walks a code
@@ -148,6 +151,7 @@ func NewCore(id int, cfg *config.Config, gen trace.Generator, hier *cache.Hierar
 		mispredict: xrand.NewProb(cfg.Core.BranchMissPct),
 	}
 	c.fuLimits = [4]int{cfg.Core.IntALUs, cfg.Core.IntMults, cfg.Core.FPALUs, cfg.Core.FPMults}
+	c.fuLat = [4]int64{int64(cfg.Core.IntALULat), int64(cfg.Core.IntMultLat), int64(cfg.Core.FPALULat), int64(cfg.Core.FPMultLat)}
 	c.loadCB = make([]func(int64), len(c.rob))
 	for i := range c.loadCB {
 		slot := i
@@ -352,9 +356,7 @@ func (c *Core) retire(now int64) {
 				c.sqUsed--
 			}
 		}
-		if e.isLoad {
-			c.lqUsed--
-		}
+		c.lqUsed -= b2i(e.isLoad)
 		c.head++
 		c.headSlot = c.advance(c.headSlot)
 		c.stats.Retired++
@@ -442,11 +444,12 @@ func (c *Core) dispatchOne(now int64, ins *trace.Instr) bool {
 		return true
 
 	default:
-		if !c.reserveFU(now, ins.Kind) {
+		pool := ins.Kind.Pool()
+		if !c.reserveFU(now, pool) {
 			c.stats.DispatchHaz++
 			return false
 		}
-		lat := c.computeLatency(ins.Kind)
+		lat := c.fuLat[pool]
 		e := &c.rob[c.tailSlot]
 		*e = robEntry{firstDep: -1}
 		isBranch := ins.Kind == trace.KindBranch
@@ -494,47 +497,28 @@ func (c *Core) lastLoadInFlight() bool {
 	return e.isLoad && e.readyAt == waiting
 }
 
-// fuClass maps an instruction kind onto its functional unit pool.
-func fuClass(k trace.Kind) int {
-	switch k {
-	case trace.KindIntMul:
-		return 1
-	case trace.KindFP:
-		return 2
-	case trace.KindFPMul:
-		return 3
-	default: // KindInt, KindBranch share the integer ALUs
-		return 0
-	}
-}
-
-// reserveFU claims a functional unit for this cycle, returning false when
-// the pool (Table 1: 4/2/2/1) is exhausted — a structural dispatch hazard.
-func (c *Core) reserveFU(now int64, k trace.Kind) bool {
+// reserveFU claims a unit of functional-unit pool (0-3) for this cycle,
+// returning false when the pool (Table 1: 4/2/2/1) is exhausted — a
+// structural dispatch hazard.
+func (c *Core) reserveFU(now int64, pool int) bool {
 	if now != c.fuCycle {
 		c.fuCycle = now
 		c.fuUsed = [4]int{}
 	}
-	cls := fuClass(k)
-	if c.fuUsed[cls] >= c.fuLimits[cls] {
+	if c.fuUsed[pool] >= c.fuLimits[pool] {
 		return false
 	}
-	c.fuUsed[cls]++
+	c.fuUsed[pool]++
 	return true
 }
 
-func (c *Core) computeLatency(k trace.Kind) int64 {
-	cc := &c.cfg.Core
-	switch k {
-	case trace.KindIntMul:
-		return int64(cc.IntMultLat)
-	case trace.KindFP:
-		return int64(cc.FPALULat)
-	case trace.KindFPMul:
-		return int64(cc.FPMultLat)
-	default: // KindInt, KindBranch
-		return int64(cc.IntALULat)
+// b2i is 1 when b holds and 0 otherwise; the compiler turns it into a zero
+// extension of b, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
+	return 0
 }
 
 // loadComplete fires when a load's data arrives: it wakes the load occupying

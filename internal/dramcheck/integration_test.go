@@ -16,6 +16,11 @@ import (
 // cross-validates every issued transaction against the independent protocol
 // mirror. This is the strongest correctness statement the repository makes
 // about its memory model.
+// readCount is the test's memctrl.ReadSink: it counts read-data returns.
+type readCount int
+
+func (n *readCount) ReadReturned(int, uint64, int64) { *n++ }
+
 func TestModelObeysTimingUnderEveryPolicy(t *testing.T) {
 	policies := []string{"fcfs", "hf-rf", "rr", "lreq", "me", "me-lreq", "fq", "burst", "fix:3210"}
 	for _, name := range policies {
@@ -44,7 +49,8 @@ func TestModelObeysTimingUnderEveryPolicy(t *testing.T) {
 			}
 
 			rng := xrand.New(1234)
-			completed, injected, writes := 0, 0, 0
+			var completed readCount
+			injected, writes := 0, 0
 			// Writes are bounded: an unbounded write flood exceeds the drain
 			// rate and correctly locks the controller into drain mode.
 			const target, writeCap = 600, 200
@@ -59,7 +65,7 @@ func TestModelObeysTimingUnderEveryPolicy(t *testing.T) {
 					} else {
 						line = uint64(rng.Intn(1 << 22))
 					}
-					if mc.EnqueueRead(core, line, now, func(int64) { completed++ }) {
+					if mc.EnqueueRead(&completed, core, line, now) {
 						injected++
 					}
 					if writes < writeCap && rng.Bernoulli(0.25) {

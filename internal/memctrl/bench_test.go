@@ -49,7 +49,7 @@ func BenchmarkControllerSteadyState(b *testing.B) {
 		// admission failures just mean the queues are already full.
 		for core := 0; core < 4; core++ {
 			line := rng.Uint64n(1 << 20)
-			mc.EnqueueRead(core, line, now, nil)
+			enqueueRead(mc, core, line, now, nil)
 			if i%4 == 0 {
 				mc.EnqueueWrite(core, line+1, now)
 			}
@@ -71,7 +71,7 @@ func BenchmarkControllerDrain(b *testing.B) {
 		if mc.ReadQueueLen() == 0 {
 			b.StopTimer()
 			for n := 0; n < 48; n++ {
-				mc.EnqueueRead(n%4, rng.Uint64n(1<<20), now, nil)
+				enqueueRead(mc, n%4, rng.Uint64n(1<<20), now, nil)
 			}
 			b.StartTimer()
 		}

@@ -285,21 +285,11 @@ func (mc *Controller) bankOf(r *Request) int {
 	return c.Channel*mc.banksPerChan + c.Rank*mc.banksPerRank + c.Bank
 }
 
-// EnqueueRead admits a demand read. It returns false when the read buffer is
-// full or the per-core pending bound is reached; the caller (L2 MSHR) must
-// retry later. onComplete fires when data is delivered to the core side.
-func (mc *Controller) EnqueueRead(core int, line uint64, now int64, onComplete func(int64)) bool {
-	return mc.enqueueRead(core, line, now, onComplete, nil)
-}
-
-// EnqueueReadSink is EnqueueRead with a persistent completion sink in place
-// of a per-read closure: sink.ReadReturned(core, line, t) fires where
-// onComplete(t) would have.
-func (mc *Controller) EnqueueReadSink(sink ReadSink, core int, line uint64, now int64) bool {
-	return mc.enqueueRead(core, line, now, nil, sink)
-}
-
-func (mc *Controller) enqueueRead(core int, line uint64, now int64, onComplete func(int64), sink ReadSink) bool {
+// EnqueueRead admits a demand read. It returns false when the read
+// buffer is full or the per-core pending bound is reached; the caller (L2
+// MSHR) must retry later. sink.ReadReturned(core, line, t) fires when the
+// data is delivered to the core side at cycle t; sink must not be nil.
+func (mc *Controller) EnqueueRead(sink ReadSink, core int, line uint64, now int64) bool {
 	if mc.readLen >= mc.cfg.Memory.ReadQueueCap ||
 		mc.pendingReads[core] >= mc.cfg.Memory.MaxPendingPerCore {
 		mc.enqueueFailRd++
@@ -307,14 +297,13 @@ func (mc *Controller) enqueueRead(core int, line uint64, now int64, onComplete f
 	}
 	r := mc.alloc()
 	*r = Request{
-		ID:         mc.nextID(),
-		Kind:       Read,
-		Core:       core,
-		Line:       line,
-		Coord:      mc.sys.Mapper.Map(line),
-		Arrive:     now,
-		OnComplete: onComplete,
-		sink:       sink,
+		ID:     mc.nextID(),
+		Kind:   Read,
+		Core:   core,
+		Line:   line,
+		Coord:  mc.sys.Mapper.Map(line),
+		Arrive: now,
+		sink:   sink,
 	}
 	mc.banks[mc.bankOf(r)].rd.push(r)
 	mc.readLen++
@@ -392,14 +381,9 @@ func (mc *Controller) runCompletions(now int64) {
 		cs.ReadsCompleted++
 		cs.LatHist.Observe(c.at - r.Arrive)
 		cs.ServiceSum += uint64(c.at - c.issuedAt)
-		cb, sink := r.OnComplete, r.sink
-		core, line := r.Core, r.Line
+		sink, core, line := r.sink, r.Core, r.Line
 		mc.release(r)
-		if sink != nil {
-			sink.ReadReturned(core, line, c.at)
-		} else if cb != nil {
-			cb(c.at)
-		}
+		sink.ReadReturned(core, line, c.at)
 	}
 }
 

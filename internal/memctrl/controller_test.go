@@ -11,6 +11,21 @@ import (
 	"memsched/internal/xrand"
 )
 
+// readDone is the tests' memctrl.ReadSink: a callback for one read's data
+// return. A nil readDone discards the completion.
+type readDone func(now int64)
+
+func (f readDone) ReadReturned(_ int, _ uint64, now int64) {
+	if f != nil {
+		f(now)
+	}
+}
+
+// enqueueRead admits a read whose data return calls done (nil: no one waits).
+func enqueueRead(mc *memctrl.Controller, core int, line uint64, now int64, done func(int64)) bool {
+	return mc.EnqueueRead(readDone(done), core, line, now)
+}
+
 // lineFor builds a line address that maps to the given channel with a
 // chosen bank stride multiple, exploiting the LSB-channel mapping.
 func lineFor(channel int, n uint64) uint64 {
@@ -54,7 +69,7 @@ func runUntil(mc *memctrl.Controller, from int64, pred func() bool, limit int64)
 func TestReadCompletesWithExpectedLatency(t *testing.T) {
 	mc, _, _ := newController(t, 1, "hf-rf", nil)
 	var doneAt int64 = -1
-	if !mc.EnqueueRead(0, lineFor(0, 1), 0, func(now int64) { doneAt = now }) {
+	if !enqueueRead(mc, 0, lineFor(0, 1), 0, func(now int64) { doneAt = now }) {
 		t.Fatal("enqueue rejected on empty controller")
 	}
 	if mc.PendingReadsOf(0) != 1 {
@@ -88,7 +103,7 @@ func TestReadBypassesWrite(t *testing.T) {
 		t.Fatal("write rejected")
 	}
 	var readDone int64 = -1
-	mc.EnqueueRead(0, lineFor(0, 9), 0, func(now int64) { readDone = now })
+	enqueueRead(mc, 0, lineFor(0, 9), 0, func(now int64) { readDone = now })
 	runUntil(mc, 0, func() bool { return mc.Quiescent() }, 10000)
 	if readDone < 0 {
 		t.Fatal("read never completed")
@@ -136,7 +151,7 @@ func TestDrainPrefersWritesOverReads(t *testing.T) {
 		mc.EnqueueWrite(0, lineFor(0, uint64(i)+100), 0)
 	}
 	var readDone int64 = -1
-	mc.EnqueueRead(0, lineFor(0, 1), 0, func(now int64) { readDone = now })
+	enqueueRead(mc, 0, lineFor(0, 1), 0, func(now int64) { readDone = now })
 	mc.Tick(0) // enters drain mode and issues a write
 	if !mc.Draining() {
 		t.Fatal("expected drain mode")
@@ -154,7 +169,7 @@ func TestReadQueueCapacity(t *testing.T) {
 	// fill to capacity without ticking (nothing issues).
 	accepted := 0
 	for i := 0; i < cfg.Memory.ReadQueueCap+10; i++ {
-		if mc.EnqueueRead(0, lineFor(0, uint64(i)), 0, nil) {
+		if enqueueRead(mc, 0, lineFor(0, uint64(i)), 0, nil) {
 			accepted++
 		}
 	}
@@ -176,13 +191,13 @@ func TestPerCorePendingBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 70; i++ {
-		mc.EnqueueRead(0, lineFor(0, uint64(i)), 0, nil)
+		enqueueRead(mc, 0, lineFor(0, uint64(i)), 0, nil)
 	}
 	if mc.PendingReadsOf(0) != cfg.Memory.MaxPendingPerCore {
 		t.Fatalf("core 0 pending = %d, want %d", mc.PendingReadsOf(0), cfg.Memory.MaxPendingPerCore)
 	}
 	// The other core must still be admissible.
-	if !mc.EnqueueRead(1, lineFor(0, 1000), 0, nil) {
+	if !enqueueRead(mc, 1, lineFor(0, 1000), 0, nil) {
 		t.Fatal("core 1 rejected although only core 0 is at its bound")
 	}
 }
@@ -201,9 +216,9 @@ func TestHitFirstOrdersQueue(t *testing.T) {
 	if sys.Mapper.RowOf(conflictLine).GlobalBank != sys.Mapper.RowOf(hitLine).GlobalBank {
 		t.Fatal("test setup: lines not in same bank")
 	}
-	mc.EnqueueRead(0, firstLine, 0, nil)
-	mc.EnqueueRead(0, conflictLine, 0, func(t int64) { conflictDone = t }) // older
-	mc.EnqueueRead(0, hitLine, 0, func(t int64) { hitDone = t })           // younger, row hit
+	enqueueRead(mc, 0, firstLine, 0, nil)
+	enqueueRead(mc, 0, conflictLine, 0, func(t int64) { conflictDone = t }) // older
+	enqueueRead(mc, 0, hitLine, 0, func(t int64) { hitDone = t })           // younger, row hit
 	runUntil(mc, 0, func() bool { return hitDone >= 0 && conflictDone >= 0 }, 100000)
 	if hitDone >= conflictDone {
 		t.Fatalf("hit completed at %d, conflict at %d: hit-first violated", hitDone, conflictDone)
@@ -215,8 +230,8 @@ func TestClosePageKeepsWantedRowOpen(t *testing.T) {
 	// Two queued reads to the same row: the first must leave the row open
 	// (no auto-precharge), so the second is a row hit.
 	done := 0
-	mc.EnqueueRead(0, 0, 0, func(int64) { done++ })
-	mc.EnqueueRead(0, 16, 0, func(int64) { done++ }) // same bank, same row, next column
+	enqueueRead(mc, 0, 0, 0, func(int64) { done++ })
+	enqueueRead(mc, 0, 16, 0, func(int64) { done++ }) // same bank, same row, next column
 	runUntil(mc, 0, func() bool { return done == 2 }, 100000)
 	st := sys.Channels[0].Stats()
 	if st.Hits != 1 {
@@ -227,7 +242,7 @@ func TestClosePageKeepsWantedRowOpen(t *testing.T) {
 func TestClosePageAutoPrechargesUnwantedRow(t *testing.T) {
 	mc, sys, _ := newController(t, 1, "hf-rf", nil)
 	done := 0
-	mc.EnqueueRead(0, 0, 0, func(int64) { done++ })
+	enqueueRead(mc, 0, 0, 0, func(int64) { done++ })
 	runUntil(mc, 0, func() bool { return done == 1 }, 100000)
 	// No same-row request was queued: the bank must have auto-precharged.
 	b := sys.Channels[0].Bank(sys.Mapper.Map(0))
@@ -242,7 +257,7 @@ func TestRequestConservation(t *testing.T) {
 	completed := 0
 	for i := 0; i < n; i++ {
 		core := i % 2
-		if !mc.EnqueueRead(core, uint64(i*7), int64(i), func(int64) { completed++ }) {
+		if !enqueueRead(mc, core, uint64(i*7), int64(i), func(int64) { completed++ }) {
 			t.Fatalf("read %d rejected", i)
 		}
 		mc.EnqueueWrite(1-core, uint64(100000+i*13), int64(i))
@@ -270,8 +285,8 @@ func TestRequestConservation(t *testing.T) {
 func TestAverageReadLatencyWeighted(t *testing.T) {
 	mc, _, _ := newController(t, 2, "hf-rf", nil)
 	done := 0
-	mc.EnqueueRead(0, lineFor(0, 1), 0, func(int64) { done++ })
-	mc.EnqueueRead(1, lineFor(1, 2), 0, func(int64) { done++ })
+	enqueueRead(mc, 0, lineFor(0, 1), 0, func(int64) { done++ })
+	enqueueRead(mc, 1, lineFor(1, 2), 0, func(int64) { done++ })
 	runUntil(mc, 0, func() bool { return done == 2 }, 100000)
 	avg := mc.AverageReadLatency()
 	if avg <= 0 {
@@ -305,8 +320,8 @@ func TestMELREQPrefersHighEfficiencyCore(t *testing.T) {
 	mc, _, _ := newController(t, 2, "me-lreq", []float64{100, 1})
 	var doneLow, doneHigh int64 = -1, -1
 	// Same channel, same bank, different rows: strictly serialized.
-	mc.EnqueueRead(1, 0, 0, func(t int64) { doneLow = t })         // low-ME core enqueues FIRST
-	mc.EnqueueRead(0, 16*128*3, 0, func(t int64) { doneHigh = t }) // high-ME core second
+	enqueueRead(mc, 1, 0, 0, func(t int64) { doneLow = t })         // low-ME core enqueues FIRST
+	enqueueRead(mc, 0, 16*128*3, 0, func(t int64) { doneHigh = t }) // high-ME core second
 	runUntil(mc, 0, func() bool { return doneLow >= 0 && doneHigh >= 0 }, 100000)
 	if doneHigh >= doneLow {
 		t.Fatalf("high-ME core finished at %d, low-ME at %d: ME priority not applied",
@@ -336,7 +351,7 @@ func TestControllerAccessors(t *testing.T) {
 func TestControllerResetStats(t *testing.T) {
 	mc, _, _ := newController(t, 1, "hf-rf", nil)
 	done := false
-	mc.EnqueueRead(0, lineFor(0, 1), 0, func(int64) { done = true })
+	enqueueRead(mc, 0, lineFor(0, 1), 0, func(int64) { done = true })
 	runUntil(mc, 0, func() bool { return done }, 100000)
 	if mc.ReadsIssued() != 1 {
 		t.Fatal("setup failed")
@@ -350,7 +365,7 @@ func TestControllerResetStats(t *testing.T) {
 	}
 	// The controller still works after a reset.
 	done = false
-	mc.EnqueueRead(0, lineFor(0, 2), 1000, func(int64) { done = true })
+	enqueueRead(mc, 0, lineFor(0, 2), 1000, func(int64) { done = true })
 	if runUntil(mc, 1000, func() bool { return done }, 100000) < 0 {
 		t.Fatal("controller broken after ResetStats")
 	}
@@ -374,7 +389,7 @@ func TestDecisionTrace(t *testing.T) {
 	mc.EnableDecisionTrace(4)
 	done := 0
 	for i := 0; i < 8; i++ {
-		mc.EnqueueRead(i%2, lineFor(0, uint64(i*137)), 0, func(int64) { done++ })
+		enqueueRead(mc, i%2, lineFor(0, uint64(i*137)), 0, func(int64) { done++ })
 	}
 	runUntil(mc, 0, func() bool { return done == 8 }, 1_000_000)
 	ds := mc.Decisions()
@@ -410,8 +425,8 @@ func TestLatencyDecomposition(t *testing.T) {
 		latSum += uint64(at)
 	}
 	// Two same-bank different-row reads: the second queues behind the first.
-	mc.EnqueueRead(0, 0, 0, onDone)
-	mc.EnqueueRead(0, 16*128, 0, onDone)
+	enqueueRead(mc, 0, 0, 0, onDone)
+	enqueueRead(mc, 0, 16*128, 0, onDone)
 	runUntil(mc, 0, func() bool { return done == 2 }, 100000)
 	cs := mc.CoreStatsOf(0)
 	if cs.ReadsIssued != 2 || cs.ReadsCompleted != 2 || cs.LatHist.N() != 2 {

@@ -118,7 +118,7 @@ func FuzzControllerTiming(f *testing.F) {
 				}
 				core := int(line) % cores
 				if b&3 == 0 {
-					mc.EnqueueRead(core, line, now, nil)
+					enqueueRead(mc, core, line, now, nil)
 				} else {
 					mc.EnqueueWrite(core, line, now)
 				}

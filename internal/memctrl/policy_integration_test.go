@@ -60,7 +60,7 @@ func TestEveryPolicyConservesRequests(t *testing.T) {
 					for k := 0; k < rng.Intn(3); k++ {
 						core := rng.Intn(4)
 						line := uint64(rng.Intn(1 << 20))
-						if mc.EnqueueRead(core, line, now, func(int64) { completedReads++ }) {
+						if enqueueRead(mc, core, line, now, func(int64) { completedReads++ }) {
 							admittedReads++
 						}
 						if admittedWrites < wantWrites && rng.Bernoulli(0.4) {
@@ -122,11 +122,11 @@ func TestNoReadStarvationUnderFixedPriority(t *testing.T) {
 		// High-priority cores flood; low-priority core trickles.
 		if rng.Bernoulli(0.75) {
 			for core := 0; core < 3; core++ {
-				mc.EnqueueRead(core, uint64(rng.Intn(1<<20)), now, nil)
+				enqueueRead(mc, core, uint64(rng.Intn(1<<20)), now, nil)
 			}
 		}
 		if admittedLow < 20 {
-			if mc.EnqueueRead(3, uint64(rng.Intn(1<<20)), now, func(int64) { lowDone++ }) {
+			if enqueueRead(mc, 3, uint64(rng.Intn(1<<20)), now, func(int64) { lowDone++ }) {
 				admittedLow++
 			}
 		}
@@ -170,7 +170,7 @@ func TestPoliciesDivergeOnSameTraffic(t *testing.T) {
 			core := i % 4
 			line := uint64(i) * 16 * 128 // same channel 0, different rows
 			idx := core
-			mc.EnqueueRead(core, line, int64(i), func(int64) { served = append(served, idx) })
+			enqueueRead(mc, core, line, int64(i), func(int64) { served = append(served, idx) })
 		}
 		now := int64(16)
 		for !mc.Quiescent() {

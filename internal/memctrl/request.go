@@ -50,13 +50,8 @@ type Request struct {
 	Coord addr.Coord
 	// Arrive is the cycle the request entered the controller buffer.
 	Arrive int64
-	// OnComplete, for reads, is invoked when data is returned to the core
-	// side (including the controller overhead). Nil for writes.
-	OnComplete func(now int64)
-
-	// sink, when non-nil, receives the completion instead of OnComplete
-	// (EnqueueReadSink). A persistent sink lets the caller avoid allocating
-	// one closure per read.
+	// sink, for reads, receives the data return at the core side (including
+	// the controller overhead). Nil for writes.
 	sink ReadSink
 
 	// nextFree links retired slots into the controller's free-list; requests
@@ -65,11 +60,10 @@ type Request struct {
 }
 
 // ReadSink receives read-data returns for requests admitted through
-// EnqueueReadSink. Implementations are persistent objects (e.g. the cache
+// EnqueueRead. Implementations are persistent objects (e.g. the cache
 // hierarchy), so admission does not allocate a completion closure per read.
 type ReadSink interface {
-	// ReadReturned fires when the data for (core, line) reaches the core side,
-	// at the same point OnComplete would have been invoked.
+	// ReadReturned fires when the data for (core, line) reaches the core side.
 	ReadReturned(core int, line uint64, now int64)
 }
 

@@ -33,7 +33,7 @@ func bankState(sys *dram.System, line uint64) dram.Bank {
 func TestOpenPageKeepsRowOpen(t *testing.T) {
 	mc, sys := controllerWithPolicy(t, config.OpenPage)
 	done := 0
-	mc.EnqueueRead(0, 0, 0, func(int64) { done++ })
+	enqueueRead(mc, 0, 0, 0, func(int64) { done++ })
 	runUntil(mc, 0, func() bool { return done == 1 }, 100_000)
 	if b := bankState(sys, 0); b.State != dram.BankActive || b.OpenRow != 0 {
 		t.Fatalf("open-page bank = %+v, want active row 0", b)
@@ -41,7 +41,7 @@ func TestOpenPageKeepsRowOpen(t *testing.T) {
 	// A much later access to the same row must be a hit even though nothing
 	// was queued meanwhile.
 	done = 0
-	mc.EnqueueRead(0, 16, 100_000, func(int64) { done++ })
+	enqueueRead(mc, 0, 16, 100_000, func(int64) { done++ })
 	runUntil(mc, 100_000, func() bool { return done == 1 }, 100_000)
 	if sys.Channels[0].Stats().Hits != 1 {
 		t.Fatal("open page did not produce a row hit on re-reference")
@@ -53,8 +53,8 @@ func TestStrictClosePageNeverHits(t *testing.T) {
 	done := 0
 	// Two same-row requests queued together: hit-aware close page would keep
 	// the row open; strict must precharge anyway.
-	mc.EnqueueRead(0, 0, 0, func(int64) { done++ })
-	mc.EnqueueRead(0, 16, 0, func(int64) { done++ })
+	enqueueRead(mc, 0, 0, 0, func(int64) { done++ })
+	enqueueRead(mc, 0, 16, 0, func(int64) { done++ })
 	runUntil(mc, 0, func() bool { return done == 2 }, 100_000)
 	st := sys.Channels[0].Stats()
 	if st.Hits != 0 {
@@ -72,7 +72,7 @@ func TestHitAwareBeatsStrictOnStreams(t *testing.T) {
 		mc, _ := controllerWithPolicy(t, rp)
 		done := 0
 		for i := uint64(0); i < 8; i++ {
-			mc.EnqueueRead(0, i*16, 0, func(int64) { done++ }) // same bank, same row
+			enqueueRead(mc, 0, i*16, 0, func(int64) { done++ }) // same bank, same row
 		}
 		end := runUntil(mc, 0, func() bool { return done == 8 }, 1_000_000)
 		if end < 0 {
@@ -102,7 +102,7 @@ func TestRefreshEndToEnd(t *testing.T) {
 	now := int64(0)
 	for done < 10 {
 		if injected < 10 && now == int64(injected)*timing.TREFI/2 {
-			if mc.EnqueueRead(0, uint64(injected*37), now, func(int64) { done++ }) {
+			if enqueueRead(mc, 0, uint64(injected*37), now, func(int64) { done++ }) {
 				injected++
 			}
 		}

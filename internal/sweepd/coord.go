@@ -692,19 +692,17 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 
-	// Snapshot history and subscribe atomically, so no event is lost between.
+	// Note which slots are done and subscribe under one lock hold, so no event
+	// is lost between the replay and the live stream. The replay events are
+	// encoded after the lock is released: deliver writes each slot once,
+	// under this lock, so a slot done here stays as it is. One bit per slot
+	// keeps the snapshot small however many jobs have finished.
 	sw.mu.Lock()
-	var replay []EventV1
-	completed := 0
+	done := make([]uint64, (len(sw.outcomes)+63)/64)
 	for i := range sw.outcomes {
-		o := &sw.outcomes[i]
-		if !o.done() {
-			continue
+		if sw.outcomes[i].done() {
+			done[i/64] |= 1 << (i % 64)
 		}
-		completed++
-		replay = append(replay, EventV1{Type: "job", SweepID: sw.id, ID: o.ID,
-			Key: o.Key, CacheHit: o.CacheHit, Err: o.Err, Worker: o.Worker,
-			Completed: completed, Total: len(sw.outcomes)})
 	}
 	sw.subSeq++
 	subID := sw.subSeq
@@ -719,16 +717,27 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	defer unsubscribe()
 
+	// Every line is encoded from ev, so the stream allocates it once.
+	var ev EventV1
 	enc := json.NewEncoder(w)
-	emit := func(ev EventV1) bool {
-		if err := enc.Encode(ev); err != nil {
+	emit := func() bool {
+		if err := enc.Encode(&ev); err != nil {
 			return false
 		}
 		flusher.Flush()
 		return true
 	}
-	for _, ev := range replay {
-		if !emit(ev) {
+	completed := 0
+	for i := range sw.outcomes {
+		if done[i/64]&(1<<(i%64)) == 0 {
+			continue
+		}
+		o := &sw.outcomes[i]
+		completed++
+		ev = EventV1{Type: "job", SweepID: sw.id, ID: o.ID,
+			Key: o.Key, CacheHit: o.CacheHit, Err: o.Err, Worker: o.Worker,
+			Completed: completed, Total: len(sw.outcomes)}
+		if !emit() {
 			return
 		}
 	}
@@ -736,16 +745,16 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
-		case ev := <-sub:
-			if !emit(ev) {
+		case ev = <-sub:
+			if !emit() {
 				return
 			}
 		case <-sw.done:
 			// Events are buffered before done closes; drain, then summarize.
 			for {
 				select {
-				case ev := <-sub:
-					if !emit(ev) {
+				case ev = <-sub:
+					if !emit() {
 						return
 					}
 					continue
@@ -754,10 +763,10 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 				break
 			}
 			sw.mu.Lock()
-			final := EventV1{Type: "sweep", SweepID: sw.id,
+			ev = EventV1{Type: "sweep", SweepID: sw.id,
 				Completed: len(sw.outcomes) - sw.remaining, Total: len(sw.outcomes)}
 			sw.mu.Unlock()
-			emit(final)
+			emit()
 			return
 		}
 	}

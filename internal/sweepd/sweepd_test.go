@@ -591,40 +591,154 @@ func TestCachePersistence(t *testing.T) {
 	}
 }
 
+// raceEnabled is set in -race builds (race_test.go).
+var raceEnabled bool
+
+// discardFlusher is a streaming http.ResponseWriter that drops the body, so
+// a test measures what the handler allocates, not what a recorder keeps.
+type discardFlusher struct{ h http.Header }
+
+func (d *discardFlusher) Header() http.Header         { return d.h }
+func (d *discardFlusher) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardFlusher) WriteHeader(int)             {}
+func (d *discardFlusher) Flush()                      {}
+
 // TestEventStreamMemoryIndependentOfSweepSize subscribes to a large sweep's
-// events with an already-cancelled request: the subscription must not
-// allocate in proportion to the sweep's job count.
+// events with an already-cancelled request, while no job is done and after
+// every job is: the subscription, its replay of the finished jobs included,
+// must not allocate in proportion to the sweep's job count.
 func TestEventStreamMemoryIndependentOfSweepSize(t *testing.T) {
 	coord, err := NewCoordinator(CoordinatorConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
+	// Every job shares one spec, so the jobs coalesce into one task and a
+	// single completion finishes the sweep.
 	const jobs = 50_000
 	req := SweepRequestV1{Jobs: make([]JobV1, jobs)}
 	for i := range req.Jobs {
 		req.Jobs[i] = JobV1{ID: i, Key: fmt.Sprint(i), Spec: testSpec("hf-rf")}
 	}
-	body, err := json.Marshal(req)
+	ctx := context.Background()
+	client := NewInProcessClient(coord)
+	ack, err := client.Submit(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := httptest.NewRecorder()
-	coord.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweeps", bytes.NewReader(body)))
-	var ack SubmitResponseV1
-	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &ack) != nil {
-		t.Fatalf("submit: %d %s", rec.Code, rec.Body)
+
+	subscribe := func(state string, linePerJob bool) {
+		t.Helper()
+		cancelled, cancel := context.WithCancel(ctx)
+		cancel()
+		events := httptest.NewRequest(http.MethodGet, "/v1/sweeps/"+ack.SweepID+"/events", nil).WithContext(cancelled)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		coord.Handler().ServeHTTP(&discardFlusher{h: http.Header{}}, events)
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s sweep: one subscription allocated %d bytes", state, got)
+		if linePerJob && raceEnabled {
+			return
+		}
+		if got > 1<<20 {
+			t.Fatalf("one event subscription to a %s %d-job sweep allocated %d bytes, want at most 1 MiB",
+				state, jobs, got)
+		}
+	}
+	subscribe("pending", false)
+
+	claim, err := client.Claim(ctx, "w", 1)
+	if err != nil || len(claim.Leases) != 1 {
+		t.Fatalf("claim: %v, %d leases, want the one coalesced task", err, len(claim.Leases))
+	}
+	if _, err := client.CompleteBatch(ctx, []CompleteRequestV1{
+		{LeaseID: claim.Leases[0].LeaseID, Value: json.RawMessage(`{}`)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := client.Status(ctx, ack.SweepID); err != nil || !st.Done || st.Completed != jobs {
+		t.Fatalf("status after the completion: %v, %+v", err, st)
+	}
+	subscribe("finished", true)
+}
+
+// TestEventReplayDuringCompletions subscribes again and again while another
+// goroutine completes the sweep's jobs. Each replay must list every job it
+// reports once, in slot order, with Completed counting 1, 2, ... Under -race
+// it also checks that encoding replayed slots outside the sweep lock does not
+// race with deliveries into other slots.
+func TestEventReplayDuringCompletions(t *testing.T) {
+	coord, err := NewCoordinator(CoordinatorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	const jobs = 64
+	req := SweepRequestV1{Jobs: make([]JobV1, jobs)}
+	for i := range req.Jobs {
+		spec := testSpec("hf-rf")
+		spec.Seed = uint64(i + 1) // distinct fingerprints: one task per job
+		req.Jobs[i] = JobV1{ID: i, Key: fmt.Sprint(i), Spec: spec}
+	}
+	ctx := context.Background()
+	client := NewInProcessClient(coord)
+	ack, err := client.Submit(ctx, req)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	events := httptest.NewRequest(http.MethodGet, "/v1/sweeps/"+ack.SweepID+"/events", nil).WithContext(ctx)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	coord.Handler().ServeHTTP(httptest.NewRecorder(), events)
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
-		t.Fatalf("one event subscription to a %d-job sweep allocated %d bytes, want at most 1 MiB", jobs, got)
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		for n := 0; n < jobs; n++ {
+			claim, err := client.Claim(ctx, "w", 1)
+			if err != nil || len(claim.Leases) != 1 {
+				t.Errorf("claim %d: %v, %d leases", n, err, len(claim.Leases))
+				return
+			}
+			if _, err := client.CompleteBatch(ctx, []CompleteRequestV1{
+				{LeaseID: claim.Leases[0].LeaseID, Value: json.RawMessage(`{}`)},
+			}); err != nil {
+				t.Errorf("complete %d: %v", n, err)
+				return
+			}
+		}
+	}()
+
+	for running := true; running; {
+		select {
+		case <-finished:
+			running = false // one more replay, of the finished sweep
+		default:
+		}
+		cancelled, cancel := context.WithCancel(ctx)
+		cancel()
+		rec := httptest.NewRecorder()
+		coord.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/sweeps/"+ack.SweepID+"/events", nil).WithContext(cancelled))
+		// The replay counts Completed 1, 2, ... in slot order; live events
+		// that follow it continue the count in delivery order.
+		dec := json.NewDecoder(rec.Body)
+		seen := map[int]bool{}
+		completed := 0
+		for dec.More() {
+			var ev EventV1
+			if err := dec.Decode(&ev); err != nil {
+				t.Fatal(err)
+			}
+			if ev.Type != "job" {
+				continue
+			}
+			if seen[ev.ID] || ev.Completed <= completed || ev.Key != fmt.Sprint(ev.ID) || ev.Total != jobs ||
+				(!running && ev.ID != len(seen)) {
+				t.Fatalf("job event %+v after %d events (completed %d)", ev, len(seen), completed)
+			}
+			seen[ev.ID] = true
+			completed = ev.Completed
+		}
+		if !running && len(seen) != jobs {
+			t.Fatalf("replay of the finished sweep listed %d jobs, want %d", len(seen), jobs)
+		}
 	}
 }
 

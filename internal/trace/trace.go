@@ -18,6 +18,12 @@ import (
 )
 
 // Kind classifies one instruction for the core's timing model.
+//
+// The numbering is an invariant the per-instruction paths decide kinds by
+// (DESIGN.md, "Branch-lean kinds"): the compute kinds are 0-3, a multiply
+// setting bit 0 and floating point bit 1, and are the core's functional-unit
+// pool indices; KindBranch (4) shares pool 0, the integer ALUs, as k&3; the
+// memory kinds are the two highest.
 type Kind uint8
 
 const (
@@ -61,8 +67,23 @@ func (k Kind) String() string {
 	}
 }
 
-// IsMem reports whether the instruction accesses memory.
-func (k Kind) IsMem() bool { return k == KindLoad || k == KindStore }
+// IsMem reports whether the instruction accesses memory. The memory kinds
+// are the two highest, so one unsigned compare decides it.
+func (k Kind) IsMem() bool { return k-KindLoad <= KindStore-KindLoad }
+
+// Pool is a non-memory kind's functional-unit pool: 0 integer ALU,
+// 1 integer multiply, 2 FP ALU, 3 FP multiply. The compute kinds are their
+// own pool indices and a branch (4) is an integer ALU operation, so it is k&3.
+func (k Kind) Pool() int { return int(k & 3) }
+
+// kindIf is 1 when b holds and 0 otherwise; the compiler turns it into a
+// zero extension of b, not a branch.
+func kindIf(b bool) Kind {
+	if b {
+		return 1
+	}
+	return 0
+}
 
 // Instr is one dynamic instruction.
 type Instr struct {
@@ -361,45 +382,35 @@ func (g *Synthetic) Next(ins *Instr) {
 			g.phasePos = 0
 		}
 	}
+	// The kind comes from compares, not a chain of branches on the draw:
+	// the load, store and branch thresholds are cumulative, and the compute
+	// kinds are numbered so that a multiply sets bit 0 and FP sets bit 1.
+	// Each kind keeps its draws in the order the stream pins fix: memory
+	// draws its line then dep, a branch dep, compute dep then fp then mul.
 	x := g.rng.Uint53()
-	switch {
-	case x < k.load:
-		ins.Kind = KindLoad
+	if x < k.store {
+		ins.Kind = KindStore - kindIf(x < k.load)
 		ins.Line = g.memLine()
 		// A dependent load models pointer chasing: its address comes from
 		// the previous load, serializing the memory stream.
 		ins.DepOnLoad = g.rng.Hit(g.dep)
-	case x < k.store:
-		ins.Kind = KindStore
-		ins.Line = g.memLine()
-		ins.DepOnLoad = g.rng.Hit(g.dep)
-	case x < k.branch:
-		ins.Kind = KindBranch
-		ins.Line = 0
-		ins.DepOnLoad = g.rng.Hit(g.dep)
-	default:
-		ins.Line = 0
-		ins.DepOnLoad = g.rng.Hit(g.dep)
-		fp := g.rng.Hit(g.fp)
-		mul := g.rng.Hit(g.mul)
-		switch {
-		case fp && mul:
-			ins.Kind = KindFPMul
-		case fp:
-			ins.Kind = KindFP
-		case mul:
-			ins.Kind = KindIntMul
-		default:
-			ins.Kind = KindInt
-		}
+		return
 	}
+	ins.Line = 0
+	ins.DepOnLoad = g.rng.Hit(g.dep)
+	if x < k.branch {
+		ins.Kind = KindBranch
+		return
+	}
+	fp := kindIf(g.rng.Hit(g.fp))
+	mul := kindIf(g.rng.Hit(g.mul))
+	ins.Kind = mul | fp<<1
 }
 
 // memLine draws the next memory reference's cache-line address.
 func (g *Synthetic) memLine() uint64 {
 	x := g.rng.Uint53()
-	switch {
-	case x < g.stream:
+	if x < g.stream {
 		// Sequential walk: advance a line every WordsPerLine accesses, jump
 		// after the current run is exhausted.
 		g.wordInLine++
@@ -419,9 +430,12 @@ func (g *Synthetic) memLine() uint64 {
 			}
 		}
 		return g.base + g.streamLine
-	case x < g.random:
-		return g.base + g.rng.Uint64n(g.p.FootprintLines)
-	default:
-		return g.base + g.p.FootprintLines + g.rng.Uint64n(g.p.HotLines)
 	}
+	// A random line falls anywhere in the footprint, a hot one in the hot
+	// set just past it: one bounded draw either way.
+	n, off := g.p.FootprintLines, uint64(0)
+	if x >= g.random {
+		n, off = g.p.HotLines, g.p.FootprintLines
+	}
+	return g.base + off + g.rng.Uint64n(n)
 }

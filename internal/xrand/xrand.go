@@ -130,11 +130,16 @@ func NewProb(p float64) Prob {
 
 // Hit returns true with probability p: it returns Float64() < p from one
 // draw. A p of 0 returns false and a p of 1 true, without drawing.
+//
+// Its inline cost must stay at most 80, Go's budget (check with
+// go build -gcflags=-m=2): the generator and the core call it several
+// times per instruction, and a call that does not inline costs more than
+// the draw. Testing 0 < p < 1 first, and spelling out Uint53, keeps it there.
 func (r *Rand) Hit(p Prob) bool {
-	if p-1 >= probOne-1 { // p == 0 or p == probOne
-		return p != 0
+	if p-1 < probOne-1 {
+		return r.Uint64()>>11 < uint64(p)
 	}
-	return r.Uint53() < uint64(p)
+	return p != 0
 }
 
 // Bernoulli returns true with probability p (clamped to [0, 1]). It is
