@@ -20,7 +20,8 @@
 // worker starts a claim/execute/complete loop against a coordinator. A
 // worker is stateless: kill it at any time and its in-flight jobs return to
 // the queue after the lease TTL. It runs a fixed pool of -parallel executors;
-// -batch bounds how many leases ride one claim round trip.
+// -batch bounds how many leases ride one claim round trip. An idle worker
+// does not poll: the coordinator holds its claim until a job is submitted.
 //
 // loadtest stands up an in-process coordinator on a loopback listener and
 // pushes -jobs tiny jobs through the full submit → claim → complete →
@@ -111,6 +112,10 @@ func serve(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	srv := &http.Server{Addr: *addr, Handler: coord.Handler()}
+	// Held claims, outcome waits and event streams wait on the coordinator;
+	// closing it as shutdown starts ends them, so Shutdown need not sit out
+	// its deadline.
+	srv.RegisterOnShutdown(coord.Close)
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	if *debugAddr != "" {
@@ -142,7 +147,6 @@ func worker(args []string) error {
 	parallel := cliflags.Parallel(fs)
 	timeout := cliflags.Timeout(fs)
 	progress := cliflags.Progress(fs)
-	poll := fs.Duration("poll", 500*time.Millisecond, "idle wait between claim attempts")
 	fs.Parse(args)
 
 	if *parallel <= 0 {
@@ -162,7 +166,6 @@ func worker(args []string) error {
 		Slots:       *parallel,
 		Batch:       *batch,
 		JobTimeout:  *timeout,
-		Poll:        *poll,
 		Logf:        wlogf,
 	})
 }

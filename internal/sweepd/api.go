@@ -293,9 +293,12 @@ type LeaseV1 struct {
 	Job     JobV1  `json:"job"`
 }
 
-// ClaimResponseV1 grants up to Max leases; an empty Leases list means the
-// queue was empty. The worker must heartbeat each lease every
-// HeartbeatMillis, or the lease is revoked and its job re-queued.
+// ClaimResponseV1 grants up to Max leases. A claim that finds nothing to
+// claim is held on the coordinator until a job becomes claimable, so an
+// empty Leases list means nothing became claimable within the hold bound
+// (about a second), or the coordinator is shutting down; the worker may claim
+// again at once. The worker must heartbeat each lease every HeartbeatMillis,
+// or the lease is revoked and its job re-queued.
 type ClaimResponseV1 struct {
 	Leases          []LeaseV1 `json:"leases,omitempty"`
 	HeartbeatMillis int64     `json:"heartbeat_ms,omitempty"`
@@ -346,6 +349,9 @@ type StatsV1 struct {
 	Requeues     int64 `json:"requeues"`     // jobs reclaimed from dead workers
 	QueueDepth   int64 `json:"queue_depth"`
 	ActiveLeases int64 `json:"active_leases"`
-	CacheEntries int64 `json:"cache_entries"`
-	Shards       int   `json:"shards"`
+	// WaitingClaims counts the claims held right now, waiting for work: an
+	// idle worker holds one, an absent worker none.
+	WaitingClaims int64 `json:"waiting_claims"`
+	CacheEntries  int64 `json:"cache_entries"`
+	Shards        int   `json:"shards"`
 }

@@ -36,13 +36,29 @@ type Client struct {
 	retryMax   time.Duration
 }
 
+// idleConnsPerHost sizes the clients' pool of idle connections to one
+// coordinator. A worker keeps a held claim, a heartbeat and a completion in
+// flight at once, and a submitter sharing its client adds an outcomes wait;
+// net/http's default pool of two closes the extra connections as they go
+// idle, and the next burst dials them again.
+const idleConnsPerHost = 16
+
+// transport is the connection pool every NewClient shares, as clients on
+// http.DefaultTransport would, with room for idleConnsPerHost idle
+// connections per coordinator.
+var transport = func() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = idleConnsPerHost
+	return t
+}()
+
 // NewClient returns a client for the coordinator at addr ("host:port" or a
 // full http:// URL).
 func NewClient(addr string) *Client {
 	if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
 	}
-	return newClient(strings.TrimRight(addr, "/"), &http.Client{})
+	return newClient(strings.TrimRight(addr, "/"), &http.Client{Transport: transport})
 }
 
 // newClient returns a client for base over hc with the default retry policy.
@@ -115,7 +131,16 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		return fmt.Errorf("sweepd: %s %s: %s: %s", method, path, resp.Status,
 			strings.TrimSpace(string(msg)))
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return err
+	}
+	// Read to EOF: the decoder stops at the end of the value, before the
+	// encoder's newline and a chunked body's terminator, and net/http reuses
+	// a connection only once its body is drained. io.Discard reads through
+	// a pooled buffer, so the drain allocates nothing. A failed drain costs
+	// only the connection; the value is already decoded.
+	_, _ = io.Copy(io.Discard, resp.Body)
+	return nil
 }
 
 // roundTrip sends a freshly built request per attempt (bodies cannot be

@@ -1,6 +1,7 @@
 package sweepd
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -31,6 +32,15 @@ const cacheMeta = "sweepd result cache v4"
 // slice each), so the default leans toward concurrency headroom rather than
 // host introspection.
 const DefaultShards = 8
+
+// claimHold bounds how long a claim that finds nothing to claim waits on the
+// coordinator for work before it answers with no leases. An idle worker
+// therefore makes about one round trip per claimHold, yet takes a job the
+// moment one is submitted. It is a constant, not an option: a submit or a
+// re-queue ends the wait at once whatever its length, so a longer hold would
+// save only idle round trips. A write timeout in front of the coordinator
+// must exceed it.
+const claimHold = time.Second
 
 // CoordinatorConfig configures a Coordinator.
 type CoordinatorConfig struct {
@@ -75,6 +85,13 @@ type Coordinator struct {
 
 	claimCursor atomic.Int64 // rotates the shard a claim scan starts at
 
+	// work is closed and replaced whenever a task becomes claimable (a
+	// submit enqueues, the reaper re-queues), waking every held claim. A
+	// claim takes it before scanning the shards, so a task enqueued after
+	// the scan still wakes the claim.
+	workMu sync.Mutex
+	work   chan struct{}
+
 	stats coordStats
 
 	closed    chan struct{}
@@ -90,6 +107,7 @@ type coordStats struct {
 	cacheHits, cacheMisses   atomic.Int64
 	coalesced, requeues      atomic.Int64
 	queueDepth, activeLeases atomic.Int64
+	waitingClaims            atomic.Int64
 }
 
 // shard is one independent slice of coordinator state. All four structures
@@ -162,6 +180,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		cfg:      cfg,
 		shards:   make([]*shard, cfg.Shards),
 		sweeps:   map[string]*sweepState{},
+		work:     make(chan struct{}),
 		closed:   make(chan struct{}),
 		reapDone: make(chan struct{}),
 	}
@@ -201,8 +220,11 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 // Handler returns the coordinator's HTTP API.
 func (c *Coordinator) Handler() http.Handler { return c.mux }
 
-// Close stops the lease reaper. In-flight HTTP requests are the server's to
-// drain; pending event streams end when their sweeps complete.
+// Close stops the lease reaper and releases every request that waits on the
+// coordinator: a held claim answers with no leases, an outcomes wait answers
+// 503 (so its client retries), and an event stream ends. A server that
+// closes its coordinator when its shutdown starts (http.Server's
+// RegisterOnShutdown) therefore drains at once rather than at its deadline.
 func (c *Coordinator) Close() {
 	c.closeOnce.Do(func() { close(c.closed) })
 	<-c.reapDone
@@ -211,16 +233,17 @@ func (c *Coordinator) Close() {
 // Stats snapshots the coordinator's operational counters.
 func (c *Coordinator) Stats() StatsV1 {
 	st := StatsV1{
-		Sweeps:       c.stats.sweeps.Load(),
-		Executed:     c.stats.executed.Load(),
-		Failed:       c.stats.failed.Load(),
-		CacheHits:    c.stats.cacheHits.Load(),
-		CacheMisses:  c.stats.cacheMisses.Load(),
-		Coalesced:    c.stats.coalesced.Load(),
-		Requeues:     c.stats.requeues.Load(),
-		QueueDepth:   c.stats.queueDepth.Load(),
-		ActiveLeases: c.stats.activeLeases.Load(),
-		Shards:       len(c.shards),
+		Sweeps:        c.stats.sweeps.Load(),
+		Executed:      c.stats.executed.Load(),
+		Failed:        c.stats.failed.Load(),
+		CacheHits:     c.stats.cacheHits.Load(),
+		CacheMisses:   c.stats.cacheMisses.Load(),
+		Coalesced:     c.stats.coalesced.Load(),
+		Requeues:      c.stats.requeues.Load(),
+		QueueDepth:    c.stats.queueDepth.Load(),
+		ActiveLeases:  c.stats.activeLeases.Load(),
+		WaitingClaims: c.stats.waitingClaims.Load(),
+		Shards:        len(c.shards),
 	}
 	for _, s := range c.shards {
 		st.CacheEntries += int64(s.cache.Len())
@@ -370,6 +393,9 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	c.sweeps[sw.id] = sw
 	c.sweepMu.Unlock()
 	c.stats.sweeps.Add(1)
+	if enqueued > 0 {
+		c.signalWork()
+	}
 
 	sw.mu.Lock()
 	resp := SubmitResponseV1{SweepID: sw.id, Jobs: len(req.Jobs),
@@ -407,6 +433,21 @@ func (c *Coordinator) deliver(sw *sweepState, out OutcomeV1) {
 	}
 }
 
+// workSignal returns the channel the next signalWork closes.
+func (c *Coordinator) workSignal() <-chan struct{} {
+	c.workMu.Lock()
+	defer c.workMu.Unlock()
+	return c.work
+}
+
+// signalWork wakes every held claim: a task has become claimable.
+func (c *Coordinator) signalWork() {
+	c.workMu.Lock()
+	close(c.work)
+	c.work = make(chan struct{})
+	c.workMu.Unlock()
+}
+
 // claimLeases pops up to max tasks across the shards — starting at a rotating
 // cursor so load spreads — and grants one lease per task.
 func (c *Coordinator) claimLeases(worker string, max int) []LeaseV1 {
@@ -438,11 +479,42 @@ func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	resp := ClaimResponseV1{Leases: c.claimLeases(req.Worker, req.Max)}
+	resp := ClaimResponseV1{Leases: c.awaitLeases(r.Context(), req.Worker, req.Max)}
 	if len(resp.Leases) > 0 {
 		resp.HeartbeatMillis = (c.cfg.LeaseTTL / 3).Milliseconds()
 	}
 	writeJSON(w, resp)
+}
+
+// awaitLeases claims up to max leases. When there is nothing to claim it
+// holds the claim until a task becomes claimable and scans again, and gives
+// up with no leases once claimHold has passed, ctx ends or the coordinator
+// closes. A claim woken for a task another worker won waits on, to the same
+// bound.
+func (c *Coordinator) awaitLeases(ctx context.Context, worker string, max int) []LeaseV1 {
+	work := c.workSignal()
+	if leases := c.claimLeases(worker, max); len(leases) > 0 {
+		return leases
+	}
+	c.stats.waitingClaims.Add(1)
+	defer c.stats.waitingClaims.Add(-1)
+	hold := time.NewTimer(claimHold)
+	defer hold.Stop()
+	for {
+		select {
+		case <-work:
+		case <-hold.C:
+			return nil
+		case <-ctx.Done():
+			return nil
+		case <-c.closed:
+			return nil
+		}
+		work = c.workSignal()
+		if leases := c.claimLeases(worker, max); len(leases) > 0 {
+			return leases
+		}
+	}
 }
 
 // heartbeatOne extends one lease, reporting whether it is still live.
@@ -592,6 +664,7 @@ func (c *Coordinator) reap() {
 		}
 		now := time.Now()
 		var abandoned []delivery
+		requeued := false
 		for _, s := range c.shards {
 			s.mu.Lock()
 			for id, l := range s.leases {
@@ -618,10 +691,14 @@ func (c *Coordinator) reap() {
 				c.stats.requeues.Add(1)
 				c.stats.queueDepth.Add(1)
 				s.queue = append([]*task{t}, s.queue...)
+				requeued = true
 				c.logf("sweepd: lease on %q expired (worker %q); re-queued (attempt %d)",
 					t.job.Key, l.worker, t.attempts)
 			}
 			s.mu.Unlock()
+		}
+		if requeued {
+			c.signalWork()
 		}
 		for _, d := range abandoned {
 			c.fanOut(d)
@@ -661,6 +738,9 @@ func (c *Coordinator) handleOutcomes(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-sw.done:
 		case <-r.Context().Done():
+			return
+		case <-c.closed:
+			http.Error(w, "sweepd: coordinator shutting down", http.StatusServiceUnavailable)
 			return
 		}
 	}
@@ -744,6 +824,8 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	for {
 		select {
 		case <-r.Context().Done():
+			return
+		case <-c.closed:
 			return
 		case ev = <-sub:
 			if !emit() {

@@ -114,20 +114,43 @@ type LoadReport struct {
 	JobsPerSec float64       `json:"jobs_per_sec"`
 
 	// ClaimCalls/CompleteCalls count round trips; with batching both sit far
-	// below Jobs, which is where the throughput comes from.
+	// below Jobs, which is where the throughput comes from. EmptyClaims
+	// counts the claims that returned no lease: held to the coordinator's
+	// bound, or released when the run ended.
 	ClaimCalls    int64 `json:"claim_calls"`
+	EmptyClaims   int64 `json:"empty_claims"`
 	CompleteCalls int64 `json:"complete_calls"`
+	// Conns counts the connections the loopback listener accepted (0
+	// in-process): clients that reuse their connections keep it near the
+	// number of requests in flight at once.
+	Conns int64 `json:"conns"`
 
+	// ClaimP50/ClaimP99 are the round trips of the claims that granted
+	// leases, so a claim held idle at the end of the run does not count.
 	ClaimP50 time.Duration `json:"claim_p50_ns"`
 	ClaimP99 time.Duration `json:"claim_p99_ns"`
 }
 
 func (r LoadReport) String() string {
 	return fmt.Sprintf("%d jobs in %v: %.0f jobs/sec (%d workers, batch %d, %d shards; "+
-		"%d claims, %d completes; claim p50 %v p99 %v)",
+		"%d claims (%d empty), %d completes, %d connections; claim p50 %v p99 %v)",
 		r.Jobs, r.Elapsed.Round(time.Millisecond), r.JobsPerSec,
-		r.Workers, r.Batch, r.Shards, r.ClaimCalls, r.CompleteCalls,
+		r.Workers, r.Batch, r.Shards, r.ClaimCalls, r.EmptyClaims, r.CompleteCalls, r.Conns,
 		r.ClaimP50.Round(time.Microsecond), r.ClaimP99.Round(time.Microsecond))
+}
+
+// countingListener counts the connections it accepts.
+type countingListener struct {
+	net.Listener
+	accepted atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return conn, err
 }
 
 // loadStubValue is the canned result payload loadtest workers complete jobs
@@ -173,17 +196,19 @@ func LoadTest(ctx context.Context, opts LoadOptions) (LoadReport, error) {
 	}
 	defer coord.Close()
 	var client *Client
+	var ln countingListener
 	if opts.InProcess {
 		client = NewInProcessClient(coord)
 	} else {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		tcp, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return LoadReport{}, fmt.Errorf("sweepd: loadtest listener: %w", err)
 		}
+		ln.Listener = tcp
 		srv := &http.Server{Handler: coord.Handler()}
-		go srv.Serve(ln)
+		go srv.Serve(&ln)
 		defer srv.Close()
-		client = NewClient(ln.Addr().String())
+		client = NewClient(tcp.Addr().String())
 	}
 
 	// Distinct seeds give every job a distinct fingerprint: no cache hits, no
@@ -208,7 +233,7 @@ func LoadTest(ctx context.Context, opts LoadOptions) (LoadReport, error) {
 	t0 := time.Now()
 
 	var completed atomic.Int64
-	var claimCalls, completeCalls atomic.Int64
+	var claimCalls, emptyClaims, completeCalls atomic.Int64
 	latencies := make([][]time.Duration, opts.Workers)
 	wctx, cancelWorkers := context.WithCancel(ctx)
 	defer cancelWorkers()
@@ -221,16 +246,17 @@ func LoadTest(ctx context.Context, opts LoadOptions) (LoadReport, error) {
 			for wctx.Err() == nil && completed.Load() < int64(opts.Jobs) {
 				c0 := time.Now()
 				resp, err := client.Claim(wctx, name, opts.Batch)
-				latencies[wi] = append(latencies[wi], time.Since(c0))
 				claimCalls.Add(1)
 				if err != nil {
 					return
 				}
 				if len(resp.Leases) == 0 {
-					// Queue momentarily empty: another worker holds the tail.
-					time.Sleep(100 * time.Microsecond)
+					// Another worker holds the tail; the coordinator held
+					// this claim, so there is nothing to wait out here.
+					emptyClaims.Add(1)
 					continue
 				}
+				latencies[wi] = append(latencies[wi], time.Since(c0))
 				comps := make([]CompleteRequestV1, len(resp.Leases))
 				for i, lv := range resp.Leases {
 					comps[i] = CompleteRequestV1{LeaseID: lv.LeaseID, Value: loadStubValue}
@@ -278,7 +304,9 @@ func LoadTest(ctx context.Context, opts LoadOptions) (LoadReport, error) {
 		Elapsed:       elapsed,
 		JobsPerSec:    float64(opts.Jobs) / elapsed.Seconds(),
 		ClaimCalls:    claimCalls.Load(),
+		EmptyClaims:   emptyClaims.Load(),
 		CompleteCalls: completeCalls.Load(),
+		Conns:         ln.accepted.Load(),
 		ClaimP50:      pct(0.50),
 		ClaimP99:      pct(0.99),
 	}

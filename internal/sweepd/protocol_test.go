@@ -49,7 +49,7 @@ func TestWorkerSpeaksBatchedProtocol(t *testing.T) {
 	go func() {
 		defer close(done)
 		RunWorker(wctx, WorkerOptions{Coordinator: recorder.URL, Name: "w",
-			Slots: 1, Batch: 1, Poll: 5 * time.Millisecond})
+			Slots: 1, Batch: 1})
 	}()
 	out, err := client.Outcomes(ctx, sub.SweepID, true)
 	if err != nil {
@@ -163,7 +163,7 @@ func TestWorkerCancelsRevokedLease(t *testing.T) {
 	go func() {
 		defer close(done)
 		RunWorker(wctx, WorkerOptions{Coordinator: wrapper.URL, Name: "w",
-			Slots: 1, Batch: 1, Poll: 5 * time.Millisecond,
+			Slots: 1, Batch: 1,
 			Logf: func(format string, args ...any) {
 				mu.Lock()
 				logs = append(logs, fmt.Sprintf(format, args...))

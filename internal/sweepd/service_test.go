@@ -242,7 +242,6 @@ func TestConcurrentSubmitStress(t *testing.T) {
 						Name:        fmt.Sprintf("stress-w%d", w),
 						Slots:       3,
 						Batch:       combo.batch,
-						Poll:        2 * time.Millisecond,
 					})
 				}(w)
 			}
@@ -356,7 +355,6 @@ func TestLeaseExpiryUnderLoad(t *testing.T) {
 			Name:        "rescuer",
 			Slots:       2,
 			Batch:       3,
-			Poll:        5 * time.Millisecond,
 		})
 	}()
 

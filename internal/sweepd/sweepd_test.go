@@ -77,7 +77,6 @@ func startWorker(ctx context.Context, client *Client, name string) chan struct{}
 		RunWorker(ctx, WorkerOptions{
 			Coordinator: client.base,
 			Name:        name,
-			Poll:        10 * time.Millisecond,
 			Logf:        nil,
 		})
 	}()

@@ -31,9 +31,6 @@ type WorkerOptions struct {
 	// JobTimeout bounds each job's wall clock (0 = unbounded). A timed-out
 	// job is reported as failed, exactly like the in-process pool.
 	JobTimeout time.Duration
-	// Poll is the idle wait between claim attempts when the queue is empty
-	// or the coordinator is unreachable. 0 selects 500ms.
-	Poll time.Duration
 	// Logf receives per-job log lines (nil disables them).
 	Logf func(format string, args ...any)
 }
@@ -98,9 +95,6 @@ func (ar *activeRun) setCancel(cancel context.CancelFunc) bool {
 // runner.Execute, so a panicking run is reported as that job's failure, never
 // a worker crash. RunWorker returns nil after a clean shutdown.
 func RunWorker(ctx context.Context, opts WorkerOptions) error {
-	if opts.Poll <= 0 {
-		opts.Poll = 500 * time.Millisecond
-	}
 	if opts.Name == "" {
 		host, _ := os.Hostname()
 		opts.Name = fmt.Sprintf("%s-%d", host, os.Getpid())
@@ -150,23 +144,26 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	return nil
 }
 
+// claimRetryDelay is the claim loop's wait after a failed claim, once the
+// client has spent its retries, so an unreachable coordinator is not
+// hammered. An empty claim needs no wait: the coordinator held it until work
+// arrived or its hold bound passed.
+const claimRetryDelay = 500 * time.Millisecond
+
 // claimLoop fetches lease batches and hands them to the executor pool. The
 // jobs channel's bounded buffer is the backpressure: once the pool and the
 // buffer are full, the loop blocks on the handoff (held leases stay
 // heartbeated) instead of claiming further ahead.
 func (w *worker) claimLoop(ctx context.Context) {
-	idle := func() {
-		select {
-		case <-ctx.Done():
-		case <-time.After(w.opts.Poll):
-		}
-	}
 	for ctx.Err() == nil {
 		resp, err := w.client.Claim(ctx, w.opts.Name, w.opts.Batch)
 		if err != nil {
 			if ctx.Err() == nil {
 				w.logf("%s: claim: %v", w.opts.Name, err)
-				idle()
+				select {
+				case <-ctx.Done():
+				case <-time.After(claimRetryDelay):
+				}
 			}
 			continue
 		}
@@ -179,10 +176,6 @@ func (w *worker) claimLoop(ctx context.Context) {
 			case w.hbChanged <- struct{}{}:
 			default:
 			}
-		}
-		if len(resp.Leases) == 0 {
-			idle()
-			continue
 		}
 		for _, lv := range resp.Leases {
 			w.mu.Lock()
