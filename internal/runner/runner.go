@@ -325,14 +325,65 @@ func LoadCheckpoint(path, meta string, logf func(format string, args ...any)) (*
 	if f.Meta != meta {
 		return discard(fmt.Sprintf("written by a different sweep: meta %q, want %q", f.Meta, meta))
 	}
+	// The file holds values indented (RecordBatch writes it through
+	// MarshalIndent); canonicalize them, so a reloaded value has the bytes
+	// json.Marshal writes for it.
+	for key, raw := range f.Jobs {
+		canon, err := CanonicalJSON(raw)
+		if err != nil {
+			return discard(fmt.Sprintf("entry %q: %v", key, err))
+		}
+		f.Jobs[key] = canon
+	}
 	if f.Jobs != nil {
 		cp.file.Jobs = f.Jobs
 	}
 	return cp, nil
 }
 
-// Lookup returns the stored raw value for key, if present. Safe for
-// concurrent use with Record.
+// CanonicalJSON returns raw, one valid JSON value, in the form encoding/json
+// writes a json.RawMessage in: compact, with <, >, &, U+2028 and U+2029
+// escaped. When raw already has that form, as json.Marshal output always
+// does, it returns raw itself and allocates nothing. It checks raw's syntax
+// only when it has to rewrite raw, so callers pass it decoded values.
+func CanonicalJSON(raw json.RawMessage) (json.RawMessage, error) {
+	if canonical(raw) {
+		return raw, nil
+	}
+	return json.Marshal(raw)
+}
+
+// canonical reports whether the valid JSON value b is in CanonicalJSON's
+// form: no whitespace outside its strings, and no byte that encoding/json
+// escapes in a json.RawMessage. It is a byte loop on purpose:
+// bytes.ContainsAny with these runes falls into IndexAny's per-rune path.
+func canonical(b []byte) bool {
+	inString := false
+	for i := 0; i < len(b); i++ {
+		c := b[i]
+		switch {
+		case c == '<' || c == '>' || c == '&':
+			return false
+		case c == 0xE2 && i+2 < len(b) && b[i+1] == 0x80 && b[i+2]&^1 == 0xA8: // U+2028, U+2029
+			return false
+		case inString:
+			if c == '\\' {
+				i++ // an escaped byte never ends the string
+			} else if c == '"' {
+				inString = false
+			}
+		case c == '"':
+			inString = true
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+			return false
+		}
+	}
+	return true
+}
+
+// Lookup returns the stored raw value for key, if present: canonical
+// (CanonicalJSON) for a value loaded from the file, and as recorded for a
+// json.RawMessage passed to Record. Safe for concurrent use with Record.
 func (cp *Checkpoint) Lookup(key string) (json.RawMessage, bool) {
 	if cp == nil {
 		return nil, false

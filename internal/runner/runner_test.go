@@ -406,6 +406,10 @@ func TestCheckpointRecordBatch(t *testing.T) {
 			t.Fatalf("entry %q missing after reload", e.Key)
 		}
 	}
+	// The file holds values indented; a reload serves them canonical.
+	if got, _ := reload.Lookup("b"); string(got) != `{"n":2}` {
+		t.Fatalf("reloaded raw value = %q, want the canonical {\"n\":2}", got)
+	}
 	// A nil checkpoint ignores batches, like Record.
 	var none *Checkpoint
 	if err := none.RecordBatch(entries); err != nil {
@@ -552,5 +556,38 @@ func recordUntilKilled(path string) {
 			os.Exit(2)
 		}
 		fmt.Println("committed", i)
+	}
+}
+
+// TestCanonicalJSON pins CanonicalJSON to the bytes encoding/json writes for
+// a json.RawMessage, and pins that a value already in that form comes back
+// as it is, with nothing allocated.
+func TestCanonicalJSON(t *testing.T) {
+	for _, raw := range []string{
+		`{"n":2}`,
+		`{"n":  2}`,
+		"[1,\n\t2 ,\r3]",
+		`{"s":"a b\t\"c\" \\"}`,
+		`{"html":"<a href=\"x\">&amp;</a>"}`,
+		"{\"sep\":\"\u2028 \u2029\"}",
+		`"\u2028 is escaped already"`,
+		"\"\xe2\x80 cut, \xe2\x80\xa7 U+2027\"",
+		`"\\"`,
+		`null`,
+	} {
+		want, err := json.Marshal(json.RawMessage(raw))
+		if err != nil {
+			t.Fatalf("%q: %v", raw, err)
+		}
+		got, err := CanonicalJSON(json.RawMessage(raw))
+		if err != nil || string(got) != string(want) {
+			t.Errorf("CanonicalJSON(%q) = %q, %v; want %q", raw, got, err, want)
+		}
+		if raw == string(want) {
+			b := json.RawMessage(raw)
+			if allocs := testing.AllocsPerRun(10, func() { CanonicalJSON(b) }); allocs != 0 {
+				t.Errorf("CanonicalJSON(%q), already canonical, allocated %v times", raw, allocs)
+			}
+		}
 	}
 }

@@ -212,10 +212,12 @@ type SubmitResponseV1 struct {
 	Coalesced int `json:"coalesced"`
 }
 
-// OutcomeV1 is one job's result. Value holds the worker's canonical JSON
-// encoding of sim.Result, stored and relayed verbatim — the bytes a client
-// receives are the bytes the worker produced (or the cache recorded), which
-// is what makes remote outcomes byte-comparable to local ones.
+// OutcomeV1 is one job's result. Value holds the canonical JSON encoding of
+// sim.Result, the form json.Marshal writes: the coordinator canonicalizes a
+// value once when it arrives (workers send json.Marshal output, so that
+// changes nothing) or loads from the cache file, then stores and relays it
+// verbatim — the bytes a client receives are the bytes the worker produced,
+// which is what makes remote outcomes byte-comparable to local ones.
 type OutcomeV1 struct {
 	ID       int             `json:"id"`
 	Key      string          `json:"key"`

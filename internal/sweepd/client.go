@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -131,15 +130,18 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		return fmt.Errorf("sweepd: %s %s: %s: %s", method, path, resp.Status,
 			strings.TrimSpace(string(msg)))
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return err
+	// Read the body to EOF, into a pooled buffer, and decode it whole:
+	// net/http reuses a connection only once its body is drained, and a
+	// json.Decoder would stop at the end of the value and grow a buffer of
+	// the body's size on every call.
+	buf := getBuf()
+	defer putBuf(buf)
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return fmt.Errorf("sweepd: %s %s: reading response: %w", method, path, err)
 	}
-	// Read to EOF: the decoder stops at the end of the value, before the
-	// encoder's newline and a chunked body's terminator, and net/http reuses
-	// a connection only once its body is drained. io.Discard reads through
-	// a pooled buffer, so the drain allocates nothing. A failed drain costs
-	// only the connection; the value is already decoded.
-	_, _ = io.Copy(io.Discard, resp.Body)
+	if err := json.Unmarshal(buf.Bytes(), out); err != nil {
+		return fmt.Errorf("sweepd: %s %s: decoding response: %w", method, path, err)
+	}
 	return nil
 }
 
@@ -195,10 +197,12 @@ func (c *Client) Outcomes(ctx context.Context, sweepID string, wait bool) (Outco
 }
 
 // Watch streams a sweep's progress events to fn, starting from the sweep's
-// full history, and returns when the sweep completes (after the final "sweep"
-// event), the stream fails, or ctx fires. Connection establishment is retried
-// like any other call; a failure mid-stream is returned (re-subscribing
-// replays history, so callers can simply Watch again).
+// full history, and returns when the sweep completes (nil, after the final
+// "sweep" event), the stream fails, or ctx fires. Connection establishment is
+// retried like any other call; a failure mid-stream is returned
+// (re-subscribing replays history, so callers can simply Watch again). A
+// stream that ends before the final event, as it does when the coordinator
+// shuts down, fails with an error wrapping io.ErrUnexpectedEOF.
 func (c *Client) Watch(ctx context.Context, sweepID string, fn func(EventV1)) error {
 	resp, err := c.roundTrip(ctx, func() (*http.Request, error) {
 		return http.NewRequestWithContext(ctx, http.MethodGet,
@@ -216,10 +220,10 @@ func (c *Client) Watch(ctx context.Context, sweepID string, fn func(EventV1)) er
 	for {
 		var ev EventV1
 		if err := dec.Decode(&ev); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the stream ended between lines
 			}
-			return err
+			return fmt.Errorf("sweepd: events of %s: %w", sweepID, err)
 		}
 		fn(ev)
 		if ev.Type == "sweep" {

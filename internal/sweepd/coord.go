@@ -298,11 +298,17 @@ func writeJSON(w http.ResponseWriter, v any) {
 // KB) and a 32-lease completion batch of 8-core Results (~165 KB).
 const maxBodyBytes = 16 << 20
 
-// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes. On
-// failure it answers 413 for an oversized body and 400 for malformed JSON,
-// and returns false.
+// decodeBody decodes r's whole body, one JSON value, into v, reading at most
+// maxBodyBytes into a pooled buffer. On failure it answers 413 for an
+// oversized body and 400 for malformed JSON or data after the value, and
+// returns false.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	buf := getBuf()
+	defer putBuf(buf)
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		err = json.Unmarshal(buf.Bytes(), v)
+	}
 	if err == nil {
 		return true
 	}
@@ -574,11 +580,22 @@ func (c *Coordinator) handleCompleteBatch(w http.ResponseWriter, r *http.Request
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	for _, comp := range req.Completions {
+	for i, comp := range req.Completions {
 		if (comp.Value == nil) == (comp.Err == "") {
 			http.Error(w, fmt.Sprintf("sweepd: completion must set exactly one of value and err (lease %s)",
 				comp.LeaseID), http.StatusBadRequest)
 			return
+		}
+		// Canonicalize each value once, here: from now on it is cached,
+		// delivered and written out as it is.
+		if comp.Value != nil {
+			v, err := runner.CanonicalJSON(comp.Value)
+			if err != nil {
+				http.Error(w, fmt.Sprintf("sweepd: completion value (lease %s): %v", comp.LeaseID, err),
+					http.StatusBadRequest)
+				return
+			}
+			req.Completions[i].Value = v
 		}
 	}
 	// Group by shard so each shard's lock is taken once and its cache store
@@ -744,11 +761,75 @@ func (c *Coordinator) handleOutcomes(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	buf := getBuf()
+	defer putBuf(buf)
 	sw.mu.Lock()
-	resp := OutcomesResponseV1{SweepID: sw.id, Done: sw.remaining == 0,
-		Outcomes: append([]OutcomeV1(nil), sw.outcomes...)}
+	buf.Write(appendOutcomes(buf.AvailableBuffer(), sw.id, sw.remaining == 0, sw.outcomes))
 	sw.mu.Unlock()
-	writeJSON(w, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(buf.Bytes())
+}
+
+// appendOutcomes appends the OutcomesResponseV1 line that writeJSON would
+// write for a sweep, field by field in OutcomeV1's order and under its
+// omitempty rules. Each value is copied as it is: values are canonical from
+// the moment they reach the coordinator (handleCompleteBatch, and
+// runner.LoadCheckpoint for the cache file), and canonical is exactly what
+// encoding/json would re-compact them to.
+func appendOutcomes(b []byte, sweepID string, done bool, outs []OutcomeV1) []byte {
+	b = append(b, `{"sweep_id":`...)
+	b = appendString(b, sweepID)
+	b = append(b, `,"done":`...)
+	b = strconv.AppendBool(b, done)
+	b = append(b, `,"outcomes":[`...)
+	for i := range outs {
+		o := &outs[i]
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"id":`...)
+		b = strconv.AppendInt(b, int64(o.ID), 10)
+		b = append(b, `,"key":`...)
+		b = appendString(b, o.Key)
+		if len(o.Value) > 0 {
+			b = append(b, `,"value":`...)
+			b = append(b, o.Value...)
+		}
+		if o.Err != "" {
+			b = append(b, `,"err":`...)
+			b = appendString(b, o.Err)
+		}
+		if o.CacheHit {
+			b = append(b, `,"cache_hit":true`...)
+		}
+		if o.Worker != "" {
+			b = append(b, `,"worker":`...)
+			b = appendString(b, o.Worker)
+		}
+		if o.ElapsedMillis != 0 {
+			b = append(b, `,"elapsed_ms":`...)
+			b = strconv.AppendInt(b, o.ElapsedMillis, 10)
+		}
+		b = append(b, '}')
+	}
+	return append(b, "]}\n"...)
+}
+
+// appendString appends s quoted as encoding/json quotes it. Printable ASCII
+// that needs no escape, which is what keys, worker names and sweep IDs
+// usually are, goes between the quotes as it is; any other string goes
+// through json.Marshal, which escapes HTML characters and replaces invalid
+// UTF-8.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // maxEventBuffer caps a subscriber's buffer of undelivered events, so an

@@ -11,8 +11,9 @@ import (
 
 // FuzzSubmit drives arbitrary bodies through the coordinator's submit
 // handler. Every body is accepted (200), refused (400) or too large (413),
-// never a panic or a 5xx; an accepted sweep reports every job and is then
-// visible through its status.
+// never a panic or a 5xx; an accepted body is one JSON value with nothing
+// after it, and its sweep reports every job and is then visible through its
+// status.
 func FuzzSubmit(f *testing.F) {
 	seeds := badSubmits()
 	seeds = append(seeds, SweepRequestV1{Meta: "e2e", Jobs: []JobV1{
@@ -36,6 +37,13 @@ func FuzzSubmit(f *testing.F) {
 		f.Add(blob)
 	}
 	f.Add([]byte(`{"jobs":[`))
+	// A valid sweep with more data after it: refused, since the handler
+	// decodes the whole body.
+	blob, err := json.Marshal(load)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(blob, `{"jobs":[]}`...))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		coord, err := NewCoordinator(CoordinatorConfig{Shards: 2})
@@ -52,9 +60,9 @@ func FuzzSubmit(f *testing.F) {
 		default:
 			t.Fatalf("submit %q answered %d: %s", body, rec.Code, rec.Body)
 		}
-		// The handler decodes the first JSON value of the body; so does this.
+		// The handler decodes the whole body as one JSON value; so does this.
 		var req SweepRequestV1
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		if err := json.Unmarshal(body, &req); err != nil {
 			t.Fatalf("accepted body %q does not decode: %v", body, err)
 		}
 		var ack SubmitResponseV1

@@ -30,7 +30,7 @@ var localRuns sync.Map
 
 // localBytes runs spec in-process and returns the canonical Result JSON — the
 // bytes a remote outcome must match exactly.
-func localBytes(t *testing.T, spec JobSpecV1) []byte {
+func localBytes(t testing.TB, spec JobSpecV1) []byte {
 	t.Helper()
 	fp := spec.Fingerprint()
 	if blob, ok := localRuns.Load(fp); ok {
