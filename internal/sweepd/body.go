@@ -21,8 +21,8 @@ func getBuf() *bytes.Buffer {
 }
 
 // putBuf returns b to the pool unless it has grown past maxPooledBuf. Nothing
-// may reference b's bytes afterwards: json.Unmarshal copies what it decodes,
-// raw values included.
+// may reference b's bytes afterwards: unmarshal copies every string and raw
+// value it decodes, on its one-pass scan and on json.Unmarshal alike.
 func putBuf(b *bytes.Buffer) {
 	if b.Cap() <= maxPooledBuf {
 		bufPool.Put(b)

@@ -139,7 +139,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		return fmt.Errorf("sweepd: %s %s: reading response: %w", method, path, err)
 	}
-	if err := json.Unmarshal(buf.Bytes(), out); err != nil {
+	if err := unmarshal(buf.Bytes(), out); err != nil {
 		return fmt.Errorf("sweepd: %s %s: decoding response: %w", method, path, err)
 	}
 	return nil

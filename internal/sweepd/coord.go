@@ -307,7 +307,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	defer putBuf(buf)
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err == nil {
-		err = json.Unmarshal(buf.Bytes(), v)
+		err = unmarshal(buf.Bytes(), v)
 	}
 	if err == nil {
 		return true

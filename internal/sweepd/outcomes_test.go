@@ -164,10 +164,16 @@ func TestCacheFileServesFreshBytes(t *testing.T) {
 	}
 }
 
-// stubJobs returns n distinct tiny jobs and the value each completes with: a
-// real 2MEM-1 Result, the payload of perfbench's sweepd workload.
+// realResult is a real 2MEM-1 Result's JSON, the payload of perfbench's
+// sweepd workload.
+func realResult(t testing.TB) json.RawMessage {
+	return localBytes(t, JobSpecV1{Mix: "2MEM-1", Policy: "fcfs", Instr: 1000, Seed: 1})
+}
+
+// stubJobs returns n distinct tiny jobs and the value each completes with,
+// realResult.
 func stubJobs(t testing.TB, n int) ([]JobV1, map[string]json.RawMessage) {
-	payload := localBytes(t, JobSpecV1{Mix: "2MEM-1", Policy: "fcfs", Instr: 1000, Seed: 1})
+	payload := realResult(t)
 	jobs := make([]JobV1, n)
 	values := make(map[string]json.RawMessage, n)
 	for i := range jobs {
@@ -243,6 +249,27 @@ func BenchmarkOutcomesRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cachedResubmit(b, client, jobs)
+	}
+}
+
+// BenchmarkDecodeOutcomes times the client's decode alone of the outcomes
+// body that BenchmarkOutcomesRoundTrip's resubmit gets back: 16 cached
+// outcomes of a real 2MEM-1 Result.
+func BenchmarkDecodeOutcomes(b *testing.B) {
+	jobs, values := stubJobs(b, 16)
+	outs := make([]OutcomeV1, len(jobs))
+	for i, j := range jobs {
+		outs[i] = OutcomeV1{ID: i, Key: j.Key, Value: values[j.Key], CacheHit: true}
+	}
+	body := appendOutcomes(nil, "s2", true, outs)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var out OutcomesResponseV1
+		if err := unmarshal(body, &out); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
