@@ -37,6 +37,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 
 	"memsched/internal/config"
 	"memsched/internal/sched"
@@ -88,17 +89,112 @@ type JobSpecV1 struct {
 }
 
 // Fingerprint returns the content address of the spec's result: a SHA-256
-// over the canonical JSON encoding. Two specs with equal fingerprints produce
-// byte-identical Result JSON, so the coordinator serves one's cached outcome
-// for the other.
+// over the canonical JSON encoding, the bytes json.Marshal writes. Two specs
+// with equal fingerprints produce byte-identical Result JSON, so the
+// coordinator serves one's cached outcome for the other.
 func (s JobSpecV1) Fingerprint() string {
-	blob, err := json.Marshal(s)
-	if err != nil {
-		// Every field is a plain value; Marshal cannot fail on this type.
-		panic(fmt.Sprintf("sweepd: fingerprinting spec: %v", err))
+	var scratch [512]byte
+	blob, ok := s.appendJSON(scratch[:0])
+	if !ok {
+		var err error
+		if blob, err = json.Marshal(s); err != nil {
+			// Only a NaN or infinite float fails to encode, and no JSON
+			// body can carry one.
+			panic(fmt.Sprintf("sweepd: fingerprinting spec: %v", err))
+		}
 	}
 	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:])
+	var digest [2 * sha256.Size]byte
+	hex.Encode(digest[:], sum[:])
+	return string(digest[:])
+}
+
+// appendJSON appends the spec as json.Marshal encodes it: fields in struct
+// order under their omitempty rules and strings quoted by appendString. It
+// reports false, with b's new tail unspecified, for a spec it leaves to
+// json.Marshal: one with a machine override, a config.Config that only
+// json.Marshal's reflection encodes, and one with a NaN or infinite float,
+// which json.Marshal refuses.
+func (s *JobSpecV1) appendJSON(b []byte) ([]byte, bool) {
+	if s.Config != nil {
+		return b, false
+	}
+	b = append(b, '{')
+	if s.Mix != "" {
+		b = append(b, `"mix":`...)
+		b = appendString(b, s.Mix)
+		b = append(b, ',')
+	}
+	if s.Apps != "" {
+		b = append(b, `"apps":`...)
+		b = appendString(b, s.Apps)
+		b = append(b, ',')
+	}
+	b = append(b, `"policy":`...)
+	b = appendString(b, s.Policy)
+	b = append(b, `,"instr":`...)
+	b = strconv.AppendUint(b, s.Instr, 10)
+	if len(s.ME) > 0 {
+		b = append(b, `,"me":[`...)
+		for i, v := range s.ME {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			var ok bool
+			if b, ok = appendFloat(b, v); !ok {
+				return b, false
+			}
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"seed":`...)
+	b = strconv.AppendUint(b, s.Seed, 10)
+	if s.OnlineME {
+		b = append(b, `,"online_me":true`...)
+	}
+	if s.OnlineEpoch != 0 {
+		b = append(b, `,"online_epoch":`...)
+		b = strconv.AppendInt(b, s.OnlineEpoch, 10)
+	}
+	if s.WarmupInstr != 0 {
+		b = append(b, `,"warmup_instr":`...)
+		b = strconv.AppendUint(b, s.WarmupInstr, 10)
+	}
+	if s.NoWarmup {
+		b = append(b, `,"no_warmup":true`...)
+	}
+	if s.NoCycleSkip {
+		b = append(b, `,"no_cycle_skip":true`...)
+	}
+	if s.MaxCycles != 0 {
+		b = append(b, `,"max_cycles":`...)
+		b = strconv.AppendInt(b, s.MaxCycles, 10)
+	}
+	if s.Classes != "" {
+		b = append(b, `,"classes":`...)
+		b = appendString(b, s.Classes)
+	}
+	return append(b, '}'), true
+}
+
+// appendFloat appends f as encoding/json encodes a float64, and reports false
+// for NaN and the infinities, which it refuses. Like ES6, it formats with
+// 'e' below 1e-6 and from 1e21, writing an exponent such as e-09 as e-9, and
+// with 'f' otherwise.
+func appendFloat(b []byte, f float64) ([]byte, bool) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return b, false
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, true
 }
 
 // RunSpec resolves the wire spec into an executable sim.RunSpec, validating
@@ -199,6 +295,39 @@ type JobV1 struct {
 type SweepRequestV1 struct {
 	Meta string  `json:"meta,omitempty"`
 	Jobs []JobV1 `json:"jobs"`
+}
+
+// appendBody appends the request as json.Marshal encodes it, for Client.do
+// (see encode), and reports false for a request with a spec appendJSON
+// leaves to json.Marshal.
+func (r SweepRequestV1) appendBody(b []byte) ([]byte, bool) {
+	b = append(b, '{')
+	if r.Meta != "" {
+		b = append(b, `"meta":`...)
+		b = appendString(b, r.Meta)
+		b = append(b, ',')
+	}
+	if r.Jobs == nil {
+		return append(b, `"jobs":null}`...), true
+	}
+	b = append(b, `"jobs":[`...)
+	for i := range r.Jobs {
+		j := &r.Jobs[i]
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"id":`...)
+		b = strconv.AppendInt(b, int64(j.ID), 10)
+		b = append(b, `,"key":`...)
+		b = appendString(b, j.Key)
+		b = append(b, `,"spec":`...)
+		var ok bool
+		if b, ok = j.Spec.appendJSON(b); !ok {
+			return b, false
+		}
+		b = append(b, '}')
+	}
+	return append(b, "]}"...), true
 }
 
 // SubmitResponseV1 acknowledges a submitted sweep.

@@ -102,8 +102,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	var blob []byte
 	if in != nil {
 		var err error
-		blob, err = json.Marshal(in)
-		if err != nil {
+		if blob, err = encode(in); err != nil {
 			return err
 		}
 	}
@@ -143,6 +142,28 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		return fmt.Errorf("sweepd: %s %s: decoding response: %w", method, path, err)
 	}
 	return nil
+}
+
+// encode returns json.Marshal(v), bytes and error alike. A sweep request,
+// the body that carries the protocol's bulk toward the coordinator, is
+// appended (appendBody) into a pooled scratch buffer and copied out of it
+// once at its exact size, as json.Marshal copies out of its own: the
+// transport may read a request body after Do returns, and roundTrip replays
+// it on a retry, so a pooled buffer is never handed over. Where appendBody
+// refuses, json.Marshal encodes the request or gives the error.
+func encode(v any) ([]byte, error) {
+	if r, ok := v.(SweepRequestV1); ok {
+		buf := getBuf()
+		defer putBuf(buf)
+		b, ok := r.appendBody(buf.AvailableBuffer())
+		if len(b) <= maxPooledBuf {
+			buf.Grow(len(b)) // what outgrew the scratch grows it for the next call
+		}
+		if ok {
+			return append([]byte(nil), b...), nil
+		}
+	}
+	return json.Marshal(v)
 }
 
 // roundTrip sends a freshly built request per attempt (bodies cannot be

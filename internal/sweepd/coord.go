@@ -332,7 +332,8 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	seen := make(map[string]bool, len(req.Jobs))
-	for i, j := range req.Jobs {
+	for i := range req.Jobs {
+		j := &req.Jobs[i]
 		if j.Key == "" {
 			http.Error(w, fmt.Sprintf("sweepd: job %d has an empty key", i), http.StatusBadRequest)
 			return
@@ -365,7 +366,8 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// through deliver's sweep lock.
 	coalesced := 0
 	enqueued := 0
-	for i, j := range req.Jobs {
+	for i := range req.Jobs {
+		j := &req.Jobs[i]
 		fp := j.Spec.Fingerprint()
 		s := c.shardFor(fp)
 		s.mu.Lock()

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"memsched/internal/config"
 	"memsched/internal/runner"
 )
 
@@ -270,6 +271,104 @@ func BenchmarkDecodeOutcomes(b *testing.B) {
 		if err := unmarshal(body, &out); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// benchSweep is a sweep request the benchmarks below time.
+type benchSweep struct {
+	name string
+	req  SweepRequestV1
+}
+
+// benchSweeps returns two 16-job sweep requests: "plain", the resubmit
+// BenchmarkOutcomesRoundTrip sends, and "config", a knob sweep as
+// cmd/sweep -remote builds one, where every job carries the mix's profiled
+// ME values and its own machine override, the default machine with one
+// knob set.
+func benchSweeps(tb testing.TB) []benchSweep {
+	plain, _ := stubJobs(tb, 16)
+	knob := make([]JobV1, 16)
+	for i := range knob {
+		machine := config.Default(2)
+		machine.Memory.ReadQueueCap, machine.Memory.WriteQueueCap = 16+4*i, 16+4*i // -knob buffer
+		knob[i] = JobV1{ID: i, Key: fmt.Sprintf("buffer=%d", 16+4*i), Spec: JobSpecV1{Mix: "2MEM-1",
+			Policy: "me-lreq", Instr: 20000, ME: []float64{0.7853981633974483, 0.0013498980316301035},
+			Seed: 1, Config: &machine}}
+	}
+	return []benchSweep{
+		{"plain", SweepRequestV1{Jobs: plain}},
+		{"config", SweepRequestV1{Meta: "sweep buffer", Jobs: knob}},
+	}
+}
+
+// BenchmarkEncodeSweep times the client's encode alone of each request.
+func BenchmarkEncodeSweep(b *testing.B) {
+	for _, bs := range benchSweeps(b) {
+		b.Run(bs.name, func(b *testing.B) {
+			var req any = bs.req
+			body, err := encode(req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := encode(req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDecodeSweep times the coordinator's decode alone of each request.
+func BenchmarkDecodeSweep(b *testing.B) {
+	for _, bs := range benchSweeps(b) {
+		b.Run(bs.name, func(b *testing.B) {
+			body, err := json.Marshal(bs.req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var req SweepRequestV1
+				if err := unmarshal(body, &req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// fingerprintSink keeps BenchmarkFingerprint's results live.
+var fingerprintSink string
+
+// BenchmarkFingerprint times the fingerprints that handleSubmit takes of
+// each request's 16 specs; its bytes are the specs' encodings.
+func BenchmarkFingerprint(b *testing.B) {
+	for _, bs := range benchSweeps(b) {
+		b.Run(bs.name, func(b *testing.B) {
+			jobs := bs.req.Jobs
+			var n int
+			for _, j := range jobs {
+				blob, err := json.Marshal(j.Spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				n += len(blob)
+			}
+			b.SetBytes(int64(n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range jobs {
+					fingerprintSink = jobs[j].Spec.Fingerprint()
+				}
+			}
+		})
 	}
 }
 

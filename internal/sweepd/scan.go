@@ -3,22 +3,25 @@ package sweepd
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"strconv"
+	"strings"
 )
 
-// bodyScanner is implemented by the two wire types whose bodies carry
-// Results: OutcomesResponseV1, which the client decodes, and
-// CompleteBatchRequestV1, which the coordinator decodes. scanBody decodes
-// data into its zero receiver in one pass and reports true, or reports false
-// and leaves the receiver as it was.
+// bodyScanner is implemented by the three wire types that carry the
+// protocol's bulk: OutcomesResponseV1, which the client decodes, and
+// CompleteBatchRequestV1 and SweepRequestV1, which the coordinator decodes.
+// scanBody decodes data into its zero receiver in one pass and reports true,
+// or reports false and leaves the receiver as it was.
 type bodyScanner interface {
 	scanBody(data []byte) bool
 }
 
 // unmarshal decodes the JSON body data into the zero value v points to,
-// exactly as json.Unmarshal does, result and error alike. A body carrying Results is scanned once when
-// it is in the plain form both ends write; json.Unmarshal scans every body
-// twice, once to validate it and once more to find where each raw value
-// ends. Any other body, and every other type, goes to json.Unmarshal.
+// exactly as json.Unmarshal does, result and error alike. A body of a
+// bodyScanner is scanned once when it is in the plain form both ends write;
+// json.Unmarshal scans every body twice, once to validate it and once more to
+// decode it. Any other body, and every other type, goes to json.Unmarshal.
 func unmarshal(data []byte, v any) error {
 	if s, ok := v.(bodyScanner); ok && s.scanBody(data) {
 		return nil
@@ -26,12 +29,33 @@ func unmarshal(data []byte, v any) error {
 	return json.Unmarshal(data, v)
 }
 
+// jsonNames returns the json names of the fields of the struct v, in order:
+// the keys scanBody accepts for that struct.
+func jsonNames(v any) []string {
+	t := reflect.TypeOf(v)
+	names := make([]string, t.NumField())
+	for i := range names {
+		names[i], _, _ = strings.Cut(t.Field(i).Tag.Get("json"), ",")
+	}
+	return names
+}
+
+var (
+	outcomesFields = jsonNames(OutcomesResponseV1{})
+	outcomeFields  = jsonNames(OutcomeV1{})
+	batchFields    = jsonNames(CompleteBatchRequestV1{})
+	completeFields = jsonNames(CompleteRequestV1{})
+	sweepFields    = jsonNames(SweepRequestV1{})
+	jobFields      = jsonNames(JobV1{})
+	specFields     = jsonNames(JobSpecV1{})
+)
+
 // scanBody decodes an outcomes response; see bodyScanner.
 func (r *OutcomesResponseV1) scanBody(data []byte) bool {
 	s := scanner{data: data}
 	var out OutcomesResponseV1
-	ok := s.object(func(key []byte) bool {
-		switch string(key) {
+	ok := s.object(outcomesFields, func(field string) bool {
+		switch field {
 		case "sweep_id":
 			return s.str(&out.SweepID)
 		case "done":
@@ -40,8 +64,8 @@ func (r *OutcomesResponseV1) scanBody(data []byte) bool {
 			out.Outcomes = []OutcomeV1{} // an empty list decodes non-nil
 			return s.list(func() bool {
 				var o OutcomeV1
-				ok := s.object(func(key []byte) bool {
-					switch string(key) {
+				ok := s.object(outcomeFields, func(field string) bool {
+					switch field {
 					case "id":
 						return scanInt(&s, &o.ID)
 					case "key":
@@ -76,15 +100,15 @@ func (r *OutcomesResponseV1) scanBody(data []byte) bool {
 func (r *CompleteBatchRequestV1) scanBody(data []byte) bool {
 	s := scanner{data: data}
 	var out CompleteBatchRequestV1
-	ok := s.object(func(key []byte) bool {
-		if string(key) != "completions" {
+	ok := s.object(batchFields, func(field string) bool {
+		if field != "completions" {
 			return false
 		}
 		out.Completions = []CompleteRequestV1{} // an empty list decodes non-nil
 		return s.list(func() bool {
 			var c CompleteRequestV1
-			ok := s.object(func(key []byte) bool {
-				switch string(key) {
+			ok := s.object(completeFields, func(field string) bool {
+				switch field {
 				case "lease_id":
 					return s.str(&c.LeaseID)
 				case "value":
@@ -107,19 +131,99 @@ func (r *CompleteBatchRequestV1) scanBody(data []byte) bool {
 	return true
 }
 
+// scanBody decodes a sweep request; see bodyScanner.
+func (r *SweepRequestV1) scanBody(data []byte) bool {
+	s := scanner{data: data}
+	var out SweepRequestV1
+	ok := s.object(sweepFields, func(field string) bool {
+		switch field {
+		case "meta":
+			return s.str(&out.Meta)
+		case "jobs":
+			out.Jobs = []JobV1{} // an empty list decodes non-nil
+			return s.list(func() bool {
+				out.Jobs = append(out.Jobs, JobV1{})
+				j := &out.Jobs[len(out.Jobs)-1]
+				return s.object(jobFields, func(field string) bool {
+					switch field {
+					case "id":
+						return scanInt(&s, &j.ID)
+					case "key":
+						return s.str(&j.Key)
+					case "spec":
+						return s.spec(&j.Spec)
+					}
+					return false
+				})
+			})
+		}
+		return false
+	})
+	if !ok || !s.end() {
+		return false
+	}
+	*r = out
+	return true
+}
+
+// spec reads a job spec into *p. A machine override, which a knob sweep
+// puts in every job, is a config.Config without json tags, whose keys
+// json.Unmarshal matches case-insensitively, so a spec that carries one sends
+// the whole body to json.Unmarshal.
+func (s *scanner) spec(p *JobSpecV1) bool {
+	return s.object(specFields, func(field string) bool {
+		switch field {
+		case "mix":
+			return s.str(&p.Mix)
+		case "apps":
+			return s.str(&p.Apps)
+		case "policy":
+			return s.str(&p.Policy)
+		case "instr":
+			return s.uint(&p.Instr)
+		case "me":
+			p.ME = []float64{} // an empty list decodes non-nil
+			return s.list(func() bool {
+				var v float64
+				ok := s.float(&v)
+				p.ME = append(p.ME, v)
+				return ok
+			})
+		case "seed":
+			return s.uint(&p.Seed)
+		case "online_me":
+			return s.bool(&p.OnlineME)
+		case "online_epoch":
+			return scanInt(s, &p.OnlineEpoch)
+		case "warmup_instr":
+			return s.uint(&p.WarmupInstr)
+		case "no_warmup":
+			return s.bool(&p.NoWarmup)
+		case "no_cycle_skip":
+			return s.bool(&p.NoCycleSkip)
+		case "max_cycles":
+			return scanInt(s, &p.MaxCycles)
+		case "classes":
+			return s.str(&p.Classes)
+		}
+		return false
+	})
+}
+
 // maxNestingDepth is encoding/json's bound on open arrays and objects. A
 // body nested deeper is an error there, so the scanner hands it over.
 const maxNestingDepth = 10000
 
 // scanner reads a JSON body front to back for scanBody. Its fast path
 // takes exactly what both ends write: object keys that are exact field
-// names, each once; strings of printable ASCII with no escapes; integers of
-// at most 18 digits, with no fraction or exponent; booleans; lists in
-// brackets; and any valid JSON value where a field holds a raw value. Every
-// method skips the whitespace before its token and reports false on
-// anything else, which sends the body to json.Unmarshal: case-folded,
-// duplicate, unknown or escaped keys, escapes and non-ASCII in strings, null
-// where a field is not raw, nesting past maxNestingDepth, and every error.
+// names, each once; strings of printable ASCII with no escapes; numbers
+// that strconv parses as json.Unmarshal does, so integers with no fraction
+// or exponent; booleans; lists in brackets; and any valid JSON value where
+// a field holds a raw value. Every method skips the whitespace before its
+// token and reports false on anything else, which sends the body to
+// json.Unmarshal: case-folded, duplicate, unknown or escaped keys, escapes
+// and non-ASCII in strings, null where a field is not raw, nesting past
+// maxNestingDepth, and every error.
 // Every string and raw value it returns is a copy, so nothing decoded refers
 // to data once the scan is over.
 type scanner struct {
@@ -128,10 +232,11 @@ type scanner struct {
 	depth int // open arrays and objects
 }
 
-// space skips whitespace.
+// space skips whitespace. Every byte that can start or end a token is above
+// ' ', so one compare settles it.
 func (s *scanner) space() {
 	for ; s.off < len(s.data); s.off++ {
-		if c := s.data[s.off]; c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+		if c := s.data[s.off]; c > ' ' || c != ' ' && c != '\t' && c != '\n' && c != '\r' {
 			return
 		}
 	}
@@ -163,28 +268,29 @@ func (s *scanner) open(c byte) bool {
 	return s.depth <= maxNestingDepth
 }
 
-// object reads an object whose keys are plain and distinct (a wire type has
-// fewer than eight fields), calling member with each key once the colon is
-// read; member reads the value, and reports false for a key that names no
-// field.
-func (s *scanner) object(member func(key []byte) bool) bool {
+// object reads an object whose keys are plain, each one of fields (at most
+// 64) and none twice, calling member with the field a key names once the
+// colon is read; member reads the value.
+func (s *scanner) object(fields []string, member func(field string) bool) bool {
 	if !s.open('{') {
 		return false
 	}
 	if !s.next('}') {
-		var keys [8][]byte
-		for n := 0; ; n++ {
+		var seen uint64 // bit i: fields[i] was read
+		for {
 			key, ok := s.plain()
-			if !ok || n == len(keys) || !s.next(':') {
+			if !ok || !s.next(':') {
 				return false
 			}
-			for _, k := range keys[:n] {
-				if bytes.Equal(k, key) {
-					return false
-				}
+			i := 0
+			for i < len(fields) && fields[i] != string(key) {
+				i++
 			}
-			keys[n] = key
-			if !member(key) {
+			if i == len(fields) || seen&(1<<i) != 0 {
+				return false
+			}
+			seen |= 1 << i
+			if !member(fields[i]) {
 				return false
 			}
 			if s.next('}') {
@@ -255,31 +361,52 @@ func (s *scanner) bool(p *bool) bool {
 	return *p || s.literal("false")
 }
 
-// scanInt reads into *p an integer of at most 18 digits, which fits an
-// int64 without an overflow check, with no fraction or exponent.
-func scanInt[T int | int64](s *scanner, p *T) bool {
+// number reads a number and returns its text, which aliases data.
+func (s *scanner) number() ([]byte, bool) {
 	s.space()
 	start := s.off
 	if !s.skipNumber() {
+		return nil, false
+	}
+	return s.data[start:s.off], true
+}
+
+// scanInt reads a number into *p as json.Unmarshal reads an int or int64:
+// through strconv.ParseInt, which refuses a fraction or an exponent, and
+// with a check that the value fits T.
+func scanInt[T int | int64](s *scanner, p *T) bool {
+	num, ok := s.number()
+	if !ok {
 		return false
 	}
-	num := s.data[start:s.off]
-	digits := bytes.TrimPrefix(num, []byte("-"))
-	if len(digits) > 18 {
-		return false
-	}
-	var n int64
-	for _, c := range digits {
-		if c < '0' || c > '9' { // a fraction or an exponent
-			return false
-		}
-		n = n*10 + int64(c-'0')
-	}
-	if len(digits) < len(num) {
-		n = -n
-	}
+	n, err := strconv.ParseInt(string(num), 10, 64)
 	*p = T(n)
-	return int64(*p) == n // an int narrower than 64 bits
+	return err == nil && int64(*p) == n
+}
+
+// uint reads a number into *p as json.Unmarshal reads a uint64: through
+// strconv.ParseUint, which takes all 20 digits up to math.MaxUint64 and
+// refuses a sign, a fraction or an exponent.
+func (s *scanner) uint(p *uint64) bool {
+	num, ok := s.number()
+	if !ok {
+		return false
+	}
+	n, err := strconv.ParseUint(string(num), 10, 64)
+	*p = n
+	return err == nil
+}
+
+// float reads a number into *p as json.Unmarshal reads a float64: through
+// strconv.ParseFloat, which refuses a value out of range.
+func (s *scanner) float(p *float64) bool {
+	num, ok := s.number()
+	if !ok {
+		return false
+	}
+	f, err := strconv.ParseFloat(string(num), 64)
+	*p = f
+	return err == nil
 }
 
 // raw reads any JSON value into *p as a copy of its bytes, as

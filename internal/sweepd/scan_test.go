@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
+	"memsched/internal/config"
 	"memsched/internal/runner"
 )
 
@@ -191,11 +193,149 @@ func FuzzDecodeCompletes(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) { checkScan[CompleteBatchRequestV1](t, body) })
 }
 
+// sweepBodies returns the seed bodies of FuzzDecodeSweep and
+// FuzzEncodeSweep: FuzzSubmit's seeds and badSubmits(), encoded, and bodies
+// that reach each rule of the scan.
+func sweepBodies(f *testing.F) [][]byte {
+	machine := config.Default(2)
+	machine.Memory.DrainLow = 1e-7
+	seeds := append(badSubmits(),
+		SweepRequestV1{Meta: "e2e", Jobs: []JobV1{
+			{ID: 0, Key: "hf-rf", Spec: testSpec("hf-rf")},
+			{ID: 1, Key: "me-lreq", Spec: testSpec("me-lreq")},
+			{ID: 2, Key: "classed", Spec: JobSpecV1{Mix: "4MEM-1", Policy: "dash", Instr: 3000,
+				Seed: 7, Classes: "LBBB", ME: []float64{0.5, 1, 2, 4}, WarmupInstr: 500}},
+		}},
+		SweepRequestV1{Meta: "perfbench", Jobs: []JobV1{
+			{ID: 0, Key: "v0/job-0", Spec: JobSpecV1{Mix: "2MEM-1", Policy: "fcfs", Instr: 1000, Seed: 18446744073709551615}},
+			{ID: 1, Key: "v0/job-1", Spec: JobSpecV1{Apps: "kk", Policy: "me-lreq-online", Instr: 1000, Seed: 1,
+				ME:     []float64{1e-6, 9.99e-7, 1e21, 1e20, math.Copysign(0, -1), 5e-324, math.MaxFloat64},
+				Config: &machine, OnlineME: true, OnlineEpoch: -3, NoWarmup: true, NoCycleSkip: true, MaxCycles: -1}},
+		}},
+		SweepRequestV1{Meta: "<b>&</b>\u2028\xff", Jobs: []JobV1{{Key: "k<>&\u2029\xfe", Spec: testSpec("hf-rf")}}},
+		SweepRequestV1{Meta: "loadtest sweep 0", Jobs: []JobV1{
+			{ID: 0, Key: "job-0", Spec: JobSpecV1{Mix: "2MEM-1", Policy: "fcfs", Instr: 1000, Seed: 1}},
+			{ID: 1, Key: "job-1", Spec: JobSpecV1{Mix: "2MEM-1", Policy: "fcfs", Instr: 1000, Seed: 2}},
+		}},
+		SweepRequestV1{Meta: "no jobs"},
+		SweepRequestV1{Jobs: []JobV1{}},
+	)
+	var bodies [][]byte
+	for _, req := range seeds {
+		blob, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		bodies = append(bodies, blob)
+	}
+	job := func(spec string) string {
+		return `{"meta":"m","jobs":[{"id":0,"key":"k","spec":` + spec + `}]}`
+	}
+	for _, body := range []string{
+		`{"jobs":[`,
+		` { "meta" : "m" , "jobs" : [ { "id" : 3 , "key" : "k" , "spec" : { "mix" : "2MEM-1" , "me" : [ 1 , 2.5 ] } } ] } ` + "\n",
+		`{}`,
+		`null`,
+		``,
+		`{"jobs":null}`,
+		// Seeds at and past the largest uint64.
+		job(`{"mix":"2MEM-1","policy":"fcfs","instr":1000,"seed":18446744073709551615}`),
+		job(`{"mix":"2MEM-1","policy":"fcfs","instr":1000,"seed":18446744073709551616}`),
+		job(`{"seed":99999999999999999999,"warmup_instr":00}`),
+		// Integers that are not plain, in uint and int fields.
+		job(`{"instr":-0,"seed":0}`),
+		job(`{"instr":01}`),
+		job(`{"instr":1.0}`),
+		job(`{"instr":1e3}`),
+		job(`{"warmup_instr":-0}`),
+		job(`{"warmup_instr":1e3}`),
+		job(`{"online_epoch":-0,"max_cycles":-0}`),
+		job(`{"online_epoch":01}`),
+		job(`{"max_cycles":1.0}`),
+		job(`{"max_cycles":1e3}`),
+		`{"jobs":[{"id":-0,"key":"k","spec":{}}]}`,
+		`{"jobs":[{"id":1e3,"key":"k","spec":{}}]}`,
+		// ME values in every float format, out of range, and not numbers.
+		job(`{"me":[1e-6,9.99e-7,1e21,1e20,-0,5e-324,1.7976931348623157e308,0.1E+2,2.5e-09]}`),
+		job(`{"me":[1e400]}`),
+		job(`{"me":[-1e400]}`),
+		job(`{"me":[1e-400,4e-324,2e-324]}`),
+		job(`{"me":[NaN]}`),
+		job(`{"me":[Infinity,-Infinity]}`),
+		job(`{"me":["1"]}`),
+		job(`{"me":[1,null]}`),
+		job(`{"me":[]}`),
+		job(`{"me":null}`),
+		job(`{"me":{}}`),
+		// Machine overrides: null, case-folded keys, type errors, unknown
+		// and duplicate keys, and a list.
+		job(`{"config":null}`),
+		job(`{"config":{"cores":2,"CORE":{"robsize":32,"freqghz":1e-7},"l2portspercycle":3,"MEMORY":{"channels":1,"Timing":{"trpns":1.5}}}}`),
+		job(`{"config":{"Cores":"2"}}`),
+		job(`{"config":{"Cores":2,"Cores":3,"Unknown":[1,{"a":null}]}}`),
+		job(`{"config":{"Memory":{"RowPolicy":256}}}`),
+		job(`{"config":[1,2]}`),
+		job(`{"config":{}}`),
+		// Booleans and strings that are not.
+		job(`{"online_me":null,"no_warmup":1,"no_cycle_skip":"true"}`),
+		job(`{"mix":null,"policy":7,"classes":["L"]}`),
+		// HTML characters, U+2028 and invalid UTF-8 in keys and meta, raw
+		// and escaped.
+		"{\"meta\":\"<>&\u2028\xff\",\"jobs\":[{\"id\":0,\"key\":\"a\u2029b\xc3\",\"spec\":{\"mix\":\"2MEM-1\"}}]}",
+		`{"meta":"\u003c\u003e\u0026\u2028","jobs":[{"id":0,"key":"\ufffd","spec":{}}]}`,
+		// Case-folded, duplicate, unknown and escaped keys, and a spec
+		// with 15 keys.
+		`{"Meta":"m","JOBS":[{"ID":0,"Key":"k","Spec":{"Mix":"2MEM-1"}}]}`,
+		`{"jobs":[{"id":0,"key":"k","spec":{"mix":"2MEM-1"},"spec":{"policy":"fcfs"}}]}`,
+		`{"jobs":[{"id":0,"key":"k","spec":{"mix":"2MEM-1","mix":"2MEM-2"}}]}`,
+		`{"meta":"a","meta":"b","jobs":[]}`,
+		`{"jobs":[],"jobs":[{"id":0,"key":"k","spec":{}}]}`,
+		// json.Unmarshal decodes a repeated list into the first one's
+		// elements, so the job keeps its id and spec.
+		`{"jobs":[{"id":1,"key":"a","spec":{"mix":"x","policy":"p"}}],"jobs":[{"key":"b"}]}`,
+		job(`{"m\u0069x":"2MEM-1"}`),
+		job(`{"mix":"2MEM-1","extra":1}`),
+		job(`{"mix":"2MEM-1","apps":"kk","policy":"fcfs","instr":1,"me":[1,2],"seed":2,"config":{"Cores":2},` +
+			`"online_me":true,"online_epoch":-1,"warmup_instr":3,"no_warmup":true,"no_cycle_skip":true,` +
+			`"max_cycles":-4,"classes":"LB"}`),
+		job(`{"mix":"2MEM-1","apps":"kk","policy":"fcfs","instr":1,"me":[1,2],"seed":2,"config":{"Cores":2},` +
+			`"online_me":true,"online_epoch":-1,"warmup_instr":3,"no_warmup":true,"no_cycle_skip":true,` +
+			`"max_cycles":-4,"classes":"LB","classes":"BL"}`),
+		job(`{"mix":"2MEM-1","apps":"kk","policy":"fcfs","instr":1,"me":[1,2],"seed":2,"config":{"Cores":2},` +
+			`"online_me":true,"online_epoch":-1,"warmup_instr":3,"no_warmup":true,"no_cycle_skip":true,` +
+			`"max_cycles":-4,"classes":"LB","other":0}`),
+		// Nesting at and past encoding/json's bound inside the machine
+		// override, which sits inside four open containers, and 10,001 deep;
+		// the scan leaves every machine override to json.Unmarshal.
+		job(`{"config":` + deep(9996) + `}`),
+		job(`{"config":` + deep(9997) + `}`),
+		job(`{"config":` + deep(10001) + `}`),
+		job(`{"config":{"Core":` + strings.Repeat(`{"a":`, 9995) + `{}` + strings.Repeat(`}`, 9995) + `}}`),
+		// Trailing data.
+		job(`{}`) + ` x`,
+		job(`{}`) + `{}`,
+	} {
+		bodies = append(bodies, []byte(body))
+	}
+	return bodies
+}
+
+// FuzzDecodeSweep checks the coordinator's decode of sweep requests against
+// json.Unmarshal (checkScan).
+func FuzzDecodeSweep(f *testing.F) {
+	for _, body := range sweepBodies(f) {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) { checkScan[SweepRequestV1](t, body) })
+}
+
 // fill sets every field of the struct v, through reflection, to a value of
 // the form both ends write: raw values to value, strings to printable ASCII,
-// integers and booleans to non-zero values, and lists to two filled
-// elements. It returns the json names of the fields it set, and fails on a
-// field type it has no value for.
+// integers and booleans to non-zero values (unsigned ones of 20 digits),
+// float lists to one value of each format json.Marshal writes, a machine
+// override to the default machine, structs to filled structs, and lists of
+// structs to two filled elements. It returns the json names of the fields it
+// set, and fails on a field type it has no value for.
 func fill(t *testing.T, v reflect.Value, value json.RawMessage) []string {
 	var names []string
 	for i := 0; i < v.NumField(); i++ {
@@ -209,8 +349,17 @@ func fill(t *testing.T, v reflect.Value, value json.RawMessage) []string {
 			f.SetString(name + "-" + strconv.Itoa(i))
 		case f.Kind() == reflect.Int || f.Kind() == reflect.Int64:
 			f.SetInt(int64(1000 + i))
+		case f.Kind() == reflect.Uint64:
+			f.SetUint(math.MaxUint64 - uint64(i))
 		case f.Kind() == reflect.Bool:
 			f.SetBool(true)
+		case f.Type() == reflect.TypeOf([]float64(nil)):
+			f.Set(reflect.ValueOf([]float64{0.25, 1e-7}))
+		case f.Type() == reflect.TypeOf((*config.Config)(nil)):
+			machine := config.Default(2)
+			f.Set(reflect.ValueOf(&machine))
+		case f.Kind() == reflect.Struct:
+			names = append(names, fill(t, f, value)...)
 		case f.Kind() == reflect.Slice && f.Type().Elem().Kind() == reflect.Struct:
 			f.Set(reflect.MakeSlice(f.Type(), 2, 2))
 			names = append(names, fill(t, f.Index(0), value)...)
@@ -226,9 +375,12 @@ func fill(t *testing.T, v reflect.Value, value json.RawMessage) []string {
 // scan: an outcomes response with every field of OutcomesResponseV1 and
 // OutcomeV1 set, written by appendOutcomes, and a completion batch with
 // every field of CompleteBatchRequestV1 and CompleteRequestV1 set, written
-// by json.Marshal, each carrying a real Result. A field added to a wire type
-// and not to the scan fails here, rather than sending every body to
-// json.Unmarshal.
+// by json.Marshal, each carrying a real Result; and a sweep request with
+// every field of SweepRequestV1, JobV1 and JobSpecV1 set, written by
+// appendBody, which must write json.Marshal's bytes, but for the machine
+// override, which both ends leave to encoding/json. A field added to a wire
+// type and not to the scan, or to the appender, fails here, rather than
+// sending every body to json.Unmarshal or encoding a spec without it.
 func TestWireBodiesScanOnce(t *testing.T) {
 	value := realResult(t)
 	check := func(body []byte, names []string, want, got bodyScanner) {
@@ -256,4 +408,35 @@ func TestWireBodiesScanOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(body, names, &batch, &CompleteBatchRequestV1{})
+
+	var sweep SweepRequestV1
+	names = fill(t, reflect.ValueOf(&sweep).Elem(), value)
+	body, err = json.Marshal(sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := sweep.appendBody(nil); ok {
+		t.Errorf("appendBody took a spec with a machine override")
+	}
+	if (&SweepRequestV1{}).scanBody(body) {
+		t.Errorf("the scan took a spec with a machine override")
+	}
+	for i := range sweep.Jobs {
+		sweep.Jobs[i].Spec.Config = nil
+	}
+	var plain []string
+	for _, name := range names {
+		if name != "config" {
+			plain = append(plain, name)
+		}
+	}
+	body, ok := sweep.appendBody(nil)
+	want, err := json.Marshal(sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok || !bytes.Equal(body, want) {
+		t.Fatalf("appendBody wrote %s (ok %v), json.Marshal %s", body, ok, want)
+	}
+	check(body, plain, &sweep, &SweepRequestV1{})
 }

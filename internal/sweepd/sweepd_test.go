@@ -91,6 +91,20 @@ func TestFingerprint(t *testing.T) {
 
 	// Cache keys persist across releases: a change to the canonical encoding
 	// orphans every cached Result, so the addresses are pinned literally.
+	// The last two set every field, with ME values json.Marshal writes in
+	// 'e' format, a 20-digit seed and negative integers: one without a
+	// machine override, whose bytes are appended, and one with it, which is
+	// json.Marshaled.
+	machine := config.Default(4)
+	machine.L2.MSHRs = 16
+	machine.Memory.RowPolicy = config.OpenPage
+	machine.Memory.DrainLow = 0.125
+	full := JobSpecV1{Mix: "4MEM-1", Apps: "bcde", Policy: "me-lreq-online", Instr: 20_000,
+		ME: []float64{0.5, 2.5e-9, 1e21, 3}, Seed: 18446744073709551615, Config: &machine,
+		OnlineME: true, OnlineEpoch: -5000, WarmupInstr: 2500, NoWarmup: true, NoCycleSkip: true,
+		MaxCycles: -1, Classes: "LBBB"}
+	plain := full
+	plain.Config = nil
 	for _, pin := range []struct {
 		spec JobSpecV1
 		want string
@@ -99,6 +113,8 @@ func TestFingerprint(t *testing.T) {
 		{JobSpecV1{Mix: "4MEM-1", Policy: "dash", Instr: 3000, Seed: 7, Classes: "LBBB",
 			ME: []float64{0.5, 1, 2, 4}, WarmupInstr: 500},
 			"ead2b82b1fad0a91f697fde370df6b85c62b3a755aa511528877068b21f013b8"},
+		{plain, "dbeebf69c8c0de953d4c1fbac6d53160dd9511f767c6b6c7000ecf200c2443a4"},
+		{full, "3d0fbffd8133a11dac5ad480c64884e64c3115072a8534e0b8c476263bd3846b"},
 	} {
 		if got := pin.spec.Fingerprint(); got != pin.want {
 			t.Errorf("%s/%s fingerprint = %s, want %s", pin.spec.Mix, pin.spec.Policy, got, pin.want)
